@@ -13,12 +13,19 @@ ternary clause) and differ in what diagram they encode:
 `encode_ite6` is the classic 6-clause if-then-else translation, kept as a
 baseline.  Emission always produces the terminal unit clauses and then
 eliminates them by unit simplification, so outputs never mention the
-terminal helper variables.
+terminal helper variables.  Simplification costs one pass over the
+emitted clauses plus work proportional to the clauses touched by derived
+units, and its output order is that of rescanning every clause until
+nothing changes: derived units first, then the surviving clauses in
+emission order.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import accumulate
 
 from .builder import BuildResult, build
 from .constraints import PBConstraint, Term
@@ -35,13 +42,11 @@ class ClauseSet:
 
     Input variables occupy 1..num_inputs and map to themselves; auxiliary
     variables are handed out above that, one per diagram node in node
-    creation order.  `aux_origin` remembers which node each auxiliary
-    variable stands for.
+    creation order.
     """
 
     num_inputs: int = 0
     clauses: list[Clause] = field(default_factory=list)
-    aux_origin: dict[int, int] = field(default_factory=dict)
     raw_count: int = 0  # clauses emitted before unit simplification
     next_var: int = field(init=False)
 
@@ -54,11 +59,14 @@ class ClauseSet:
         return v
 
     def add(self, lits) -> Clause:
-        clause = tuple(dict.fromkeys(lits))
-        seen = set(clause)
+        """Append `lits` without duplicates; ValueError on complementary or unallocated literals."""
+        seen = dict.fromkeys(lits)
+        clause = tuple(seen)
         for l in clause:
-            assert -l not in seen, f"complementary literals in clause {clause}"
-            assert abs(l) < self.next_var, f"unallocated variable in {clause}"
+            if -l in seen:
+                raise ValueError(f"complementary literals in clause {clause}")
+            if abs(l) >= self.next_var:
+                raise ValueError(f"unallocated variable in {clause}")
         self.clauses.append(clause)
         return clause
 
@@ -110,52 +118,133 @@ def decompose(c: PBConstraint) -> Decomposition:
     )
 
 
+def _open_literals(lits, value: dict[int, bool]) -> list[int] | None:
+    """The unassigned literals of a clause, or None if it is satisfied or a tautology."""
+    pending = []
+    for l in lits:
+        have = value.get(abs(l))
+        if have is None:
+            if -l in lits:
+                return None  # tautology
+            pending.append(l)
+        elif have == (l > 0):
+            return None
+    return pending
+
+
+def _occurrences(clauses: list[list[int] | None]):
+    """CSR occurrence lists of the variables of the live clauses.
+
+    Returns (slot, start, occ): the live clauses mentioning variable v are
+    occ[start[slot[v]]:start[slot[v] + 1]], in ascending clause order.
+    """
+    slot: dict[int, int] = {}
+    counts: list[int] = []
+    for cl in clauses:
+        if cl is not None:
+            for l in cl:
+                v = abs(l)
+                s = slot.get(v)
+                if s is None:
+                    slot[v] = len(counts)
+                    counts.append(1)
+                else:
+                    counts[s] += 1
+    start = array("i", accumulate(counts, initial=0))
+    fill = array("i", start)
+    occ = array("i", bytes(4 * start[-1]))
+    for ci, cl in enumerate(clauses):
+        if cl is not None:
+            for l in cl:
+                s = slot[abs(l)]
+                occ[fill[s]] = ci
+                fill[s] += 1
+    return slot, start, occ
+
+
 def _unit_simplify(raw: list[list[int]], fixed: dict[int, bool]) -> list[Clause]:
     """Propagate the terminal constants and any derived units through `raw`.
 
     Clauses satisfied by a propagated literal are dropped, false literals
     are deleted, and derived unit clauses over non-fixed variables stay in
     the output.  A derived contradiction collapses to a single empty clause.
+
+    Order contract: the result is that of rescanning all clauses in order
+    until a whole pass changes nothing (`unit_simplify_fixpoint` in the
+    test oracles): derived units first, in derivation order, then the
+    surviving clauses in input order.  Only the first pass scans every
+    clause.  Later passes are replayed from a worklist ordered by
+    (pass, clause index): when clause i assigns v, each live clause k
+    mentioning v is examined again later in the same pass if k > i and in
+    the next pass otherwise, which is when the full rescan would first see
+    the change.  Cost: one pass over the clauses plus work proportional to
+    the clauses touched by derived units.  `raw` is consumed.
     """
     value = dict(fixed)
     units: list[int] = []
-    clauses = [list(dict.fromkeys(cl)) for cl in raw]
-    live = [True] * len(clauses)
-    changed = True
-    while changed:
-        changed = False
-        for ci, cl in enumerate(clauses):
-            if not live[ci]:
-                continue
-            pending = []
-            satisfied = False
-            for l in cl:
-                have = value.get(abs(l))
-                if have is None:
-                    if -l in cl:
-                        satisfied = True  # tautology
-                        break
-                    pending.append(l)
-                elif have == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                live[ci] = False
-                changed = True
-                continue
+
+    def assign(l: int) -> int:
+        v = abs(l)
+        value[v] = l > 0
+        if v not in fixed:
+            units.append(l)
+        return v
+
+    # pass 1.  `raw` is consumed in place: a live clause is kept as its
+    # open literals at its last examination, and None marks a dropped one.
+    clauses: list[list[int] | None] = raw
+    for ci, cl in enumerate(clauses):
+        pending = _open_literals(dict.fromkeys(cl), value)
+        if pending is not None and len(pending) < 2:
             if not pending:
                 return [()]
-            if len(pending) == 1:
-                l = pending[0]
-                value[abs(l)] = l > 0
-                if abs(l) not in fixed:
-                    units.append(l)
-                live[ci] = False
-                changed = True
+            assign(pending[0])
+            pending = None
+        clauses[ci] = pending
+
+    # pass 2 examines the live clauses that hold a variable assigned after
+    # they were scanned; every assigned variable they hold qualifies
+    current: list[int] = []
+    if len(value) > len(fixed):
+        current = [
+            ci for ci, cl in enumerate(clauses)
+            if cl is not None and any(abs(l) in value for l in cl)
+        ]
+    if current:
+        slot, start, occ = _occurrences(clauses)
+        queued_for = array("i", bytes(4 * len(clauses)))
+        pass_no = 2
+        for ci in current:
+            queued_for[ci] = pass_no
+        following: list[int] = []
+        while current:
+            while current:
+                ci = heappop(current)
+                pending = _open_literals(clauses[ci], value)
+                if pending is None or len(pending) > 1:
+                    clauses[ci] = pending
+                    continue
+                if not pending:
+                    return [()]
+                clauses[ci] = None
+                s = slot[assign(pending[0])]
+                for k in occ[start[s]:start[s + 1]]:
+                    if clauses[k] is None:
+                        continue
+                    if k > ci:
+                        if queued_for[k] != pass_no:
+                            queued_for[k] = pass_no
+                            heappush(current, k)
+                    elif queued_for[k] != pass_no + 1:
+                        queued_for[k] = pass_no + 1
+                        following.append(k)
+            following.sort()
+            current, following = following, []
+            pass_no += 1
+
+    # every live clause was last examined after its variables' assignments
     out: list[Clause] = [(u,) for u in units]
-    for ci, cl in enumerate(clauses):
-        if live[ci]:
-            out.append(tuple(l for l in cl if abs(l) not in value))
+    out.extend(tuple(cl) for cl in clauses if cl is not None)
     return out
 
 
@@ -171,9 +260,7 @@ def _emit(
     nodes = reachable_nodes(store, root)
     var_of: dict[int, int] = {}
     for nid in nodes:
-        v = out.new_var()
-        var_of[nid] = v
-        out.aux_origin[v] = nid
+        var_of[nid] = out.new_var()
     # transient helper variables for the two terminals, eliminated below
     top = out.new_var()
     bot = out.new_var()

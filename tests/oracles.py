@@ -163,6 +163,58 @@ def reference_unit_propagate(clauses, seed):
     return "fixpoint", assigned
 
 
+def unit_simplify_fixpoint(raw: list[list[int]], fixed: dict[int, bool]) -> list[tuple[int, ...]]:
+    """Reference unit simplification: rescan every clause until a pass changes nothing.
+
+    The original `pbdd.encode._unit_simplify`, kept as the differential
+    oracle for the worklist version, which must return the same list.
+
+    Clauses satisfied by a propagated literal are dropped, false literals
+    are deleted, and derived unit clauses over non-fixed variables stay in
+    the output.  A derived contradiction collapses to a single empty clause.
+    """
+    value = dict(fixed)
+    units: list[int] = []
+    clauses = [list(dict.fromkeys(cl)) for cl in raw]
+    live = [True] * len(clauses)
+    changed = True
+    while changed:
+        changed = False
+        for ci, cl in enumerate(clauses):
+            if not live[ci]:
+                continue
+            pending = []
+            satisfied = False
+            for l in cl:
+                have = value.get(abs(l))
+                if have is None:
+                    if -l in cl:
+                        satisfied = True  # tautology
+                        break
+                    pending.append(l)
+                elif have == (l > 0):
+                    satisfied = True
+                    break
+            if satisfied:
+                live[ci] = False
+                changed = True
+                continue
+            if not pending:
+                return [()]
+            if len(pending) == 1:
+                l = pending[0]
+                value[abs(l)] = l > 0
+                if abs(l) not in fixed:
+                    units.append(l)
+                live[ci] = False
+                changed = True
+    out: list[tuple[int, ...]] = [(u,) for u in units]
+    for ci, cl in enumerate(clauses):
+        if live[ci]:
+            out.append(tuple(l for l in cl if abs(l) not in value))
+    return out
+
+
 def cnf_model_set_matches(c: PBConstraint, clauses, engine=None) -> bool:
     """Do the CNF's models, restricted to input variables, equal c's models?
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -236,11 +238,28 @@ def test_clause_set_allocator_and_dedupe():
     v = cs.new_var()
     assert v == 3
     assert cs.add([1, -2, 1]) == (1, -2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         cs.add([1, -1])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         cs.add([5])
     assert cs.max_var == 3
+
+
+def test_clause_set_checks_survive_optimize_flag():
+    # the checks raise rather than assert, so `python -O` keeps them
+    code = (
+        "from pbdd import ClauseSet\n"
+        "cs = ClauseSet(num_inputs=2)\n"
+        "try:\n"
+        "    cs.add([1, -1])\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 def test_count_regression_bounds():
