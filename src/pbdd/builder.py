@@ -25,7 +25,7 @@ class LevelStore:
     """Disjoint (interval, node) pairs for one level, keyed by interval lower bound.
 
     Disjointness makes lower-bound bisection sufficient for lookups; it is
-    asserted on every insert.
+    checked on every insert (ValueError).
     """
 
     __slots__ = ("level", "_lows", "_entries")
@@ -51,14 +51,17 @@ class LevelStore:
         return None
 
     def insert(self, iv: Interval, node: int) -> None:
-        assert not iv.is_empty, "refusing to insert an empty interval"
+        if iv.is_empty:
+            raise ValueError("refusing to insert an empty interval")
         idx = bisect_right(self._lows, iv.lo)
         if idx > 0:
             prev, _ = self._entries[idx - 1]
-            assert prev.hi < iv.lo, f"interval {iv} overlaps stored {prev}"
+            if not prev.hi < iv.lo:
+                raise ValueError(f"interval {iv} overlaps stored {prev}")
         if idx < len(self._entries):
             nxt, _ = self._entries[idx]
-            assert iv.hi < nxt.lo, f"interval {iv} overlaps stored {nxt}"
+            if not iv.hi < nxt.lo:
+                raise ValueError(f"interval {iv} overlaps stored {nxt}")
         self._lows.insert(idx, iv.lo)
         self._entries.insert(idx, (iv, node))
 
@@ -166,7 +169,8 @@ def build(
                             f"build exceeded node budget of {node_budget}"
                         )
                 iv = f_iv.intersect(t_iv.shift(a))
-                assert not iv.is_empty, "child intervals do not intersect"
+                if iv.is_empty:
+                    raise ValueError("child intervals do not intersect")
                 intervals[node] = iv
             levels[i].insert(iv, node)
             results.append((iv, node))

@@ -20,7 +20,7 @@ from .dimacs import dimacs_text
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
 from .families import bailleux_family, hosaka_family, random_constraint
 from .opb import Instance, OpbParseError, parse_opb, write_opb
-from .verify import check_consistency, check_equivalent, check_gac
+from .verify import DEFAULT_EXTEND_LIMIT, check_consistency, check_equivalent, check_gac
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -368,9 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen" and args.family == "bailleux":
-        if args.a is None or args.b is None:
-            parser.error("gen --family bailleux needs --a and --b")
+    if args.command == "verify":
+        # 3^n partial assignments per check: the same limit as `extendable`
+        if not 1 <= args.max_n <= DEFAULT_EXTEND_LIMIT:
+            parser.error(f"verify --max-n must be between 1 and {DEFAULT_EXTEND_LIMIT}")
+        if args.max_coeff < 1:
+            parser.error("verify --max-coeff must be >= 1")
+    if args.command == "gen":
+        if args.n < 1:
+            parser.error("gen --n must be >= 1")
+        if args.family == "random" and args.max_coeff < 1:
+            parser.error("gen --max-coeff must be >= 1")
+        if args.family == "bailleux":
+            if args.a is None or args.b is None:
+                parser.error("gen --family bailleux needs --a and --b")
+            try:
+                bailleux_family(args.a, args.b, args.n)
+            except ValueError as exc:
+                parser.error(f"gen --family bailleux: {exc}")
     if getattr(args, "bound_policy", None) is not None:
         try:
             args.bound_policy = float(args.bound_policy) \

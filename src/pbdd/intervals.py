@@ -47,8 +47,8 @@ class _Infinity:
         return hash(("inf", self.sign))
 
     def __add__(self, other):
-        assert not (isinstance(other, _Infinity) and other.sign != self.sign), \
-            "adding opposite infinities"
+        if isinstance(other, _Infinity) and other.sign != self.sign:
+            raise ValueError("adding opposite infinities")
         return self
 
     __radd__ = __add__
@@ -122,7 +122,8 @@ def combine_child_intervals(
     lo_bound = max(lo_iv.lo + skip_lo, hi_iv.lo + a + skip_hi)
     hi_bound = min(lo_iv.hi, hi_iv.hi + a)
     iv = Interval(lo_bound, hi_bound)
-    assert not iv.is_empty, "child intervals are mutually inconsistent"
+    if iv.is_empty:
+        raise ValueError("child intervals are mutually inconsistent")
     return iv
 
 

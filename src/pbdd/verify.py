@@ -1,27 +1,39 @@
 """Brute-force oracles and executable property checkers.
 
-The checkers enumerate all 3^n partial assignments of a constraint and
-compare what unit propagation on an encoding derives against the
-arithmetic ground truth (`extendable`).  They are the machine-checkable
-form of the encoding guarantees: consistency (inextensible assignments
-force a propagation conflict) and generalized arc-consistency (forced
-literals are actually propagated).
+The checkers compare what unit propagation on an encoding derives with
+the arithmetic ground truth (`extendable`) on all 3^n partial assignments
+of a constraint.  They are the machine-checkable form of the encoding
+guarantees: consistency (inextensible assignments force a propagation
+conflict) and generalized arc-consistency (forced literals are actually
+propagated).
+
+The assignments are visited by a depth-first walk over the variables
+with the children of each variable taken in the order None, False, True,
+which is the order of `itertools.product((None, False, True), repeat=n)`,
+so the first violation found is the same as in a plain enumeration.  One
+`UnitPropagator` follows the walk: each step down assumes one literal and
+propagates only its consequences, each step back backtracks the trail,
+and the true weight of the path is carried along.  The cost is one
+incremental propagation per step instead of a full propagation per
+assignment.  Subtrees whose verdict is already decided are skipped: below
+an inextensible prefix every assignment stays inextensible, and
+propagation is monotone, so conflicts (and a negated root) persist too.
+Below a conflicting prefix no further literal is propagated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping
 
 from .builder import BuildResult, build, level_widths
-from .constraints import PBConstraint, evaluate
+from .constraints import PBConstraint
 from .encode import Decomposition
-from .propagate import CONFLICT, UnitPropagator
+from .propagate import UnitPropagator
 from .robdd import NodeStore
 
 DEFAULT_EXTEND_LIMIT = 14
-DEFAULT_ENUM_LIMIT = 8  # 3^8 = 6561 propagation runs per clause set
+DEFAULT_ENUM_LIMIT = 8  # 3^8 = 6561 partial assignments per clause set
 
 
 @dataclass
@@ -53,39 +65,43 @@ def _true_weight(c: PBConstraint, assignment: Mapping[int, bool]) -> int:
 def extendable(
     c: PBConstraint,
     assignment: Mapping[int, bool],
-    method: str = "monotone",
     limit: int = DEFAULT_EXTEND_LIMIT,
 ) -> bool:
     """Can `assignment` be extended to a total assignment satisfying `c`?
 
-    The monotone route sets every unassigned literal false, which is the
-    cheapest extension for a normalized constraint; the enumerate route
-    tries all 2^k completions.  Both are kept so they can cross-check
-    each other.
+    Setting every unassigned literal false is the cheapest extension of a
+    normalized constraint, so the answer is whether the true weight of the
+    assignment is within the bound.
     """
     if len(c.terms) > limit:
         raise ValueError(f"constraint has {len(c.terms)} variables, limit is {limit}")
-    if method == "monotone":
-        return _true_weight(c, assignment) <= c.bound
-    if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
-    free = [v for v in c.variables() if assignment.get(v) is None]
-    base = {v: int(b) for v, b in assignment.items() if b is not None}
-    for values in product((0, 1), repeat=len(free)):
-        full = dict(base)
-        full.update(zip(free, values))
-        if evaluate(c, full):
-            return True
-    return False
-
-
-def _partial_assignments(variables):
-    for values in product((None, False, True), repeat=len(variables)):
-        yield {v: b for v, b in zip(variables, values) if b is not None}
+    return _true_weight(c, assignment) <= c.bound
 
 
 def _clause_list(cnf):
     return getattr(cnf, "clauses", cnf)
+
+
+def _walk_setup(c: PBConstraint, cnf, limit: int):
+    """Engine at level 0, its level-0 conflict flag, and the walk's steps.
+
+    `steps[j]` lists the two children of the j-th variable after None:
+    (literal assumed, weight it adds) for False, then for True.
+    """
+    n = len(c.terms)
+    if n > limit:
+        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
+    engine = UnitPropagator(_clause_list(cnf), num_vars=max(c.variables(), default=0))
+    conflict = engine.reset() is not None
+    steps = [
+        ((-t.var, 0 if t.lit > 0 else t.coef), (t.var, t.coef if t.lit > 0 else 0))
+        for t in c.terms
+    ]
+    return engine, conflict, steps
+
+
+def _assignment(path) -> dict[int, bool]:
+    return {abs(lit): lit > 0 for lit in path}
 
 
 def check_consistency(
@@ -100,34 +116,59 @@ def check_consistency(
     mode "conflict": propagation from A must conflict exactly when A cannot
     be extended to a model of `c` (encodings that assert their root).
     mode "root": propagation must derive the negation of `root_var` instead
-    (consistency-only encodings, no root unit).
+    (consistency-only encodings, no root unit).  Returns the first
+    violation in enumeration order.
     """
-    n = len(c.terms)
-    if n > limit:
-        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
+    engine, conflict, steps = _walk_setup(c, cnf, limit)
     if mode == "root" and root_var is None:
         raise ValueError("mode='root' needs root_var")
     if mode not in ("conflict", "root"):
         raise ValueError(f"unknown mode {mode!r}")
-    variables = c.variables()
-    engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
+    values, trail = engine.values, engine.trail
     bound = c.bound
-    for a in _partial_assignments(variables):
-        seed = [v if b else -v for v, b in a.items()]
-        status, values, _, _, _ = engine.run(seed)
-        conflict = status == CONFLICT
-        root_false = conflict or (root_var is not None and values[root_var] == 2)
-        ok = _true_weight(c, a) <= bound  # monotone extendability
-        if ok:
+    root_mode = mode == "root"
+    n = len(steps)
+    path: list[int] = []
+
+    def violation(conflict: bool, weight: int) -> str | None:
+        """What is wrong with the current path's own assignment, if anything."""
+        root_false = conflict or (root_mode and values[root_var] == 2)
+        if weight <= bound:
             if conflict:
-                return Counterexample(a, None, "spurious conflict on extendable assignment")
-            if mode == "root" and root_false:
-                return Counterexample(a, None, "root negated on extendable assignment")
-        else:
-            detected = conflict if mode == "conflict" else root_false
-            if not detected:
-                return Counterexample(a, None, "inextensible assignment not detected")
-    return None
+                return "spurious conflict on extendable assignment"
+            if root_false:
+                return "root negated on extendable assignment"
+        elif not root_false:
+            return "inextensible assignment not detected"
+        return None
+
+    def walk(start: int, weight: int) -> Counterexample | None:
+        # Assignments extending the path by variables from `start` on.  The
+        # path itself is extendable and propagates without a conflict (and
+        # without negating the root).  The last free variable varies first.
+        for j in range(n - 1, start - 1, -1):
+            for lit, add in steps[j]:
+                mark = len(trail)
+                conflict = not engine.assume(lit)
+                path.append(lit)
+                w = weight + add
+                detail = violation(conflict, w)
+                if detail is not None:
+                    found = Counterexample(_assignment(path), None, detail)
+                elif w <= bound:
+                    found = walk(j + 1, w)
+                else:
+                    found = None  # inextensible and detected, and so is all below
+                path.pop()
+                engine.backtrack(mark)
+                if found is not None:
+                    return found
+        return None
+
+    detail = violation(conflict, 0)
+    if detail is not None:
+        return Counterexample({}, None, detail)
+    return walk(0, 0) if bound >= 0 else None
 
 
 def check_gac(
@@ -142,32 +183,56 @@ def check_gac(
     literal's negation.  Returns the first violation in enumeration order,
     which makes reported witnesses deterministic.
     """
-    n = len(c.terms)
-    if n > limit:
-        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
-    variables = c.variables()
-    engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
+    engine, conflict, steps = _walk_setup(c, cnf, limit)
+    values, trail = engine.values, engine.trail
     bound = c.bound
-    for a in _partial_assignments(variables):
-        base = _true_weight(c, a)
-        if base > bound:
-            continue  # not extendable; consistency's business
-        forced = [
-            -lit for coef, lit in c.terms
-            if abs(lit) not in a and base + coef > bound
-        ]
-        if not forced:
-            continue
-        seed = [v if b else -v for v, b in a.items()]
-        status, values, _, _, _ = engine.run(seed)
-        if status == CONFLICT:
-            return Counterexample(a, None, "spurious conflict on extendable assignment")
-        for lit in forced:
-            if values[abs(lit)] != (1 if lit > 0 else 2):
+    terms = c.terms
+    n = len(terms)
+    max_coef = max(c.coefficients(), default=0)
+    assigned = [False] * n
+    path: list[int] = []
+
+    def violation(conflict: bool, weight: int) -> Counterexample | None:
+        # the current path is extendable (weight <= bound)
+        if weight + max_coef <= bound:
+            return None  # nothing forced
+        for j, (coef, lit) in enumerate(terms):
+            if assigned[j] or weight + coef <= bound:
+                continue
+            if conflict:
+                return Counterexample(_assignment(path), None,
+                                      "spurious conflict on extendable assignment")
+            if values[abs(lit)] != (2 if lit > 0 else 1):
                 return Counterexample(
-                    a, abs(lit), f"literal {lit} is forced but was not propagated"
+                    _assignment(path), abs(lit),
+                    f"literal {-lit} is forced but was not propagated",
                 )
-    return None
+        return None
+
+    def walk(start: int, weight: int, conflict: bool) -> Counterexample | None:
+        # As in check_consistency; inextensible assignments are skipped, and
+        # below a conflict every assignment conflicts without propagating.
+        for j in range(n - 1, start - 1, -1):
+            assigned[j] = True
+            for lit, add in steps[j]:
+                w = weight + add
+                if w > bound:
+                    continue
+                mark = len(trail)
+                below = conflict or not engine.assume(lit)
+                path.append(lit)
+                found = violation(below, w) or walk(j + 1, w, below)
+                path.pop()
+                engine.backtrack(mark)
+                if found is not None:
+                    assigned[j] = False
+                    return found
+            assigned[j] = False
+        return None
+
+    if bound < 0:
+        return None
+    return violation(conflict, 0) or walk(0, 0, conflict)
 
 
 def check_equivalent(c1: PBConstraint, c2: PBConstraint) -> bool:

@@ -1,17 +1,22 @@
 """Independent oracles used by the test suite.
 
-Nothing here imports the algorithms under test beyond plain data types:
-the node counter builds a full decision tree and reduces it textbook
+The node counter builds a full decision tree and reduces it textbook
 style, models come from exhaustive evaluation, satisfiability checks are
 a tiny self-contained DPLL, and propagation results can be replayed
-against the clause list to validate conflict claims.
+against the clause list to validate conflict claims.  The enumerating
+property checkers at the end are the previous implementations of
+`pbdd.verify`'s checkers; they use only `UnitPropagator.run`, which
+propagates every assignment from scratch.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Mapping
 
 from pbdd.constraints import PBConstraint, evaluate
+from pbdd.propagate import CONFLICT, UnitPropagator
+from pbdd.verify import DEFAULT_ENUM_LIMIT, DEFAULT_EXTEND_LIMIT, Counterexample
 
 
 def reduced_node_count(c: PBConstraint, order=None) -> int:
@@ -223,8 +228,6 @@ def cnf_model_set_matches(c: PBConstraint, clauses, engine=None) -> bool:
     claimed non-models need a replayable propagation conflict.  Anything
     unresolved falls back to the self-contained DPLL.
     """
-    from pbdd.propagate import CONFLICT, UnitPropagator
-
     variables = c.variables()
     if engine is None:
         engine = UnitPropagator(clauses, num_vars=max(variables, default=0))
@@ -277,3 +280,134 @@ def replay_conflict(clauses, seed, trail, reasons, conflict_clause) -> bool:
                     return False
         assigned.add(lit)
     return all(-l in assigned for l in clauses[conflict_clause])
+
+
+# The property checkers as they were before `pbdd.verify` switched to a
+# depth-first walk with incremental propagation: every partial assignment
+# is enumerated and propagated from scratch with `UnitPropagator.run`.
+# Kept as differential oracles; the walk must return the same
+# Counterexample (assignment, variable, detail) on every input.
+
+def _true_weight(c: PBConstraint, assignment: Mapping[int, bool]) -> int:
+    """Sum of coefficients whose literal is true under the (partial) assignment."""
+    total = 0
+    for coef, lit in c.terms:
+        val = assignment.get(abs(lit))
+        if val is None:
+            continue
+        if val == (lit > 0):
+            total += coef
+    return total
+
+
+def extendable_enumerate(
+    c: PBConstraint,
+    assignment: Mapping[int, bool],
+    limit: int = DEFAULT_EXTEND_LIMIT,
+) -> bool:
+    """Can `assignment` be extended to a total assignment satisfying `c`?
+
+    Tries all 2^k completions; `pbdd.verify.extendable` answers the same
+    question by setting every unassigned literal false.
+    """
+    if len(c.terms) > limit:
+        raise ValueError(f"constraint has {len(c.terms)} variables, limit is {limit}")
+    free = [v for v in c.variables() if assignment.get(v) is None]
+    base = {v: int(b) for v, b in assignment.items() if b is not None}
+    for values in product((0, 1), repeat=len(free)):
+        full = dict(base)
+        full.update(zip(free, values))
+        if evaluate(c, full):
+            return True
+    return False
+
+
+def _partial_assignments(variables):
+    for values in product((None, False, True), repeat=len(variables)):
+        yield {v: b for v, b in zip(variables, values) if b is not None}
+
+
+def _clause_list(cnf):
+    return getattr(cnf, "clauses", cnf)
+
+
+def check_consistency_enumerate(
+    c: PBConstraint,
+    cnf,
+    mode: str = "conflict",
+    root_var: int | None = None,
+    limit: int = DEFAULT_ENUM_LIMIT,
+) -> Counterexample | None:
+    """Inextensible partial assignments must be detected by propagation.
+
+    mode "conflict": propagation from A must conflict exactly when A cannot
+    be extended to a model of `c` (encodings that assert their root).
+    mode "root": propagation must derive the negation of `root_var` instead
+    (consistency-only encodings, no root unit).
+    """
+    n = len(c.terms)
+    if n > limit:
+        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
+    if mode == "root" and root_var is None:
+        raise ValueError("mode='root' needs root_var")
+    if mode not in ("conflict", "root"):
+        raise ValueError(f"unknown mode {mode!r}")
+    variables = c.variables()
+    engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
+    bound = c.bound
+    for a in _partial_assignments(variables):
+        seed = [v if b else -v for v, b in a.items()]
+        status, values, _, _, _ = engine.run(seed)
+        conflict = status == CONFLICT
+        root_false = conflict or (root_var is not None and values[root_var] == 2)
+        ok = _true_weight(c, a) <= bound  # monotone extendability
+        if ok:
+            if conflict:
+                return Counterexample(a, None, "spurious conflict on extendable assignment")
+            if mode == "root" and root_false:
+                return Counterexample(a, None, "root negated on extendable assignment")
+        else:
+            detected = conflict if mode == "conflict" else root_false
+            if not detected:
+                return Counterexample(a, None, "inextensible assignment not detected")
+    return None
+
+
+def check_gac_enumerate(
+    c: PBConstraint,
+    cnf,
+    limit: int = DEFAULT_ENUM_LIMIT,
+) -> Counterexample | None:
+    """Every forced literal must be derived by propagation.
+
+    For each extendable partial assignment A and unassigned variable whose
+    literal cannot be set true, propagation from A has to produce the
+    literal's negation.  Returns the first violation in enumeration order,
+    which makes reported witnesses deterministic.
+    """
+    n = len(c.terms)
+    if n > limit:
+        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
+    variables = c.variables()
+    engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
+    bound = c.bound
+    for a in _partial_assignments(variables):
+        base = _true_weight(c, a)
+        if base > bound:
+            continue  # not extendable; consistency's business
+        forced = [
+            -lit for coef, lit in c.terms
+            if abs(lit) not in a and base + coef > bound
+        ]
+        if not forced:
+            continue
+        seed = [v if b else -v for v, b in a.items()]
+        status, values, _, _, _ = engine.run(seed)
+        if status == CONFLICT:
+            return Counterexample(a, None, "spurious conflict on extendable assignment")
+        for lit in forced:
+            if values[abs(lit)] != (1 if lit > 0 else 2):
+                return Counterexample(
+                    a, abs(lit), f"literal {lit} is forced but was not propagated"
+                )
+    return None

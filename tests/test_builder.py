@@ -52,9 +52,9 @@ def test_insert_then_search_boundaries():
 def test_insert_overlap_asserts():
     ls = fresh_store(1, 10)
     ls.insert(Interval(0, 4), 7)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ls.insert(Interval(3, 6), 8)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ls.insert(Interval(0, 4), 8)
 
 

@@ -196,3 +196,27 @@ def test_node_budget_env_override(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 4
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--method", "bdd1", "--max-n", "0"],
+    ["verify", "--method", "bdd1", "--max-n", "-3"],
+    ["verify", "--method", "bdd1", "--max-n", "15"],  # 3^15 assignments: over the limit
+    ["verify", "--method", "bdd1", "--max-coeff", "0"],
+    ["gen", "--family", "random", "--n", "0"],
+    ["gen", "--family", "random", "--n", "3", "--max-coeff", "0"],
+    ["gen", "--family", "hosaka", "--n", "-1"],
+    ["gen", "--family", "bailleux", "--n", "3", "--a", "127", "--b", "2"],
+    ["gen", "--family", "bailleux", "--n", "6", "--a", "10", "--b", "2"],
+])
+def test_bad_numeric_arguments_are_usage_errors(args):
+    code, out, err = run_cli(args)
+    assert code == 2, err
+    assert "usage:" in err and "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_verify_max_n_limit_is_inclusive(capsys):
+    assert main(["verify", "--method", "bdd1", "--max-n", "14", "--seeds", "2"]) == 0
+    assert "checked 2 random constraints" in capsys.readouterr().out
+

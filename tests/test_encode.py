@@ -248,18 +248,41 @@ def test_clause_set_allocator_and_dedupe():
 def test_clause_set_checks_survive_optimize_flag():
     # the checks raise rather than assert, so `python -O` keeps them
     code = (
-        "from pbdd import ClauseSet\n"
+        "from pbdd import (Assignment, ClauseSet, Interval, LevelStore, NEG_INF,\n"
+        "                  POS_INF, combine_child_intervals)\n"
         "cs = ClauseSet(num_inputs=2)\n"
         "try:\n"
         "    cs.add([1, -1])\n"
         "except ValueError:\n"
         "    print('refused')\n"
+        "ls = LevelStore(1)\n"
+        "ls.insert(Interval(0, 4), 7)\n"
+        "try:\n"
+        "    ls.insert(Interval(3, 6), 8)\n"
+        "except ValueError:\n"
+        "    print('overlap refused')\n"
+        "try:\n"
+        "    combine_child_intervals((1, 1), 1, 3, Interval(5, 6), 3, Interval(0, 1))\n"
+        "except ValueError:\n"
+        "    print('inconsistent children refused')\n"
+        "a = Assignment()\n"
+        "a.assign(1)\n"
+        "try:\n"
+        "    a.assign(-1)\n"
+        "except ValueError:\n"
+        "    print('reassignment refused')\n"
+        "try:\n"
+        "    POS_INF + NEG_INF\n"
+        "except ValueError:\n"
+        "    print('opposite infinities refused')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "refused"
+    assert proc.stdout.splitlines() == [
+        "refused", "overlap refused", "inconsistent children refused",
+        "reassignment refused", "opposite infinities refused"]
 
 
 def test_count_regression_bounds():

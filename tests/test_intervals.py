@@ -54,7 +54,7 @@ def test_combine_running_example_bottom_up():
 
 
 def test_combine_asserts_on_inconsistent_children():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         combine_child_intervals((1, 1), 1, 3, Interval(5, 6), 3, Interval(0, 1))
 
 

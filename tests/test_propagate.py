@@ -137,3 +137,75 @@ def test_agrees_with_reference_engine():
             else:
                 assert status == FIXPOINT
                 assert set(trail) == ref_lits
+
+
+def _recount(engine):
+    """Per clause, how many of its literals are false under engine.values."""
+    values = engine.values
+    return [sum(values[abs(l)] == (2 if l > 0 else 1) for l in cl)
+            for cl in engine.clauses]
+
+
+def test_assume_backtrack_matches_fresh_run():
+    # after any sequence of assumptions and backtracks the incremental state
+    # equals a fresh run() from the assumptions still in force
+    rng = random.Random(5)
+    cnfs = _corpus_cnfs()
+    cnfs.append((RUN, [(1, 2), (-1, 3), (-3, -2), (4,), (-4, 5, -1)]))
+    for c, clauses in cnfs:
+        engine = UnitPropagator(clauses)
+        fresh = UnitPropagator(clauses)
+        assert engine.reset() is None
+        level0 = (bytes(engine.values), list(engine._nfalse))
+        assert engine._nfalse == _recount(engine)
+        base = len(engine.trail)
+        stack = []  # (mark, literal) per assumption in force
+        variables = list(c.variables())
+        for _ in range(60):
+            free = [v for v in variables if v not in {abs(l) for _, l in stack}]
+            if stack and (not free or rng.random() < 0.35):
+                k = rng.randrange(len(stack))
+                engine.backtrack(stack[k][0])
+                del stack[k:]
+            else:
+                lit = rng.choice(free) * rng.choice((1, -1))
+                mark = len(engine.trail)
+                ok = engine.assume(lit)
+                stack.append((mark, lit))
+                assert ok == (fresh.run([l for _, l in stack])[0] == FIXPOINT)
+                if not ok:
+                    engine.backtrack(mark)
+                    stack.pop()
+            status, values, trail, _, _ = fresh.run([l for _, l in stack])
+            assert status == FIXPOINT
+            assert engine.values == values
+            assert set(engine.trail) == set(trail)
+            assert engine._nfalse == _recount(engine)
+        engine.backtrack(base)
+        assert (bytes(engine.values), engine._nfalse) == level0
+
+
+def test_reset_reports_level0_conflict():
+    engine = UnitPropagator([(1,), (-1, 2), (-2,)])
+    assert engine.reset() == 1  # (-1, 2) with both literals false
+    assert engine.run([])[0] == CONFLICT
+    assert UnitPropagator([(1, 2), ()]).reset() == 1
+
+
+def test_conflicting_assumption_is_undone_exactly():
+    # x1 implies x2 and ~x2 through two clauses; the conflict is found while
+    # the derived literals are being processed, and backtracking has to take
+    # back exactly the counts that were made
+    clauses = [(-1, 2), (-1, -2, 3), (-2, -3), (-1, 4), (-4, 5)]
+    engine = UnitPropagator(clauses)
+    assert engine.reset() is None
+    mark = len(engine.trail)
+    assert engine.assume(1) is False
+    engine.backtrack(mark)
+    assert engine.trail == [] and not any(engine.values)
+    assert engine._nfalse == [0] * len(clauses)
+    assert engine.assume(-3) is True
+    assert engine.assume(4) is True
+    assert set(engine.trail) == {-3, 4, 5}
+    assert engine._nfalse == _recount(engine)
+

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbdd import (
     PBConstraint,
@@ -15,11 +17,17 @@ from pbdd import (
     pipeline_bdd2,
     pipeline_bdd3,
     random_constraint,
+    run_pipeline,
     subset_sum_reachable,
     subset_sum_unsat,
 )
 
-from oracles import truth_table_equal
+from oracles import (
+    check_consistency_enumerate,
+    check_gac_enumerate,
+    extendable_enumerate,
+    truth_table_equal,
+)
 
 RUN = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)
 
@@ -37,8 +45,7 @@ def test_extendable_routes_cross_check():
         for _ in range(10):
             a = {v: rng.choice((True, False))
                  for v in c.variables() if rng.random() < 0.6}
-            assert extendable(c, a, method="monotone") == \
-                extendable(c, a, method="enumerate")
+            assert extendable(c, a) == extendable_enumerate(c, a)
 
 
 def test_extendable_respects_limit():
@@ -196,3 +203,138 @@ def test_decomposed_interval_gaps_at_least_bit_weight():
             los = sorted(iv.lo for iv in ivs)
             for a, b in zip(los, los[1:]):
                 assert b - a >= weight, (str(c), level)
+
+
+# Differential tests: the depth-first checkers against the enumerating
+# originals in oracles.py, which propagate every partial assignment from
+# scratch.  Both must return the same first counterexample.
+
+def _outcome(check, *args, **kwargs):
+    """The counterexample as a comparable tuple, or the exception raised."""
+    try:
+        ce = check(*args, **kwargs)
+    except (ValueError, IndexError) as exc:
+        return type(exc)
+    return None if ce is None else (ce.assignment, ce.variable, ce.detail)
+
+
+def _same_verdicts(c, clauses, **consistency_args):
+    """Both checkers agree with their oracles; returns (consistency, GAC)."""
+    new = _outcome(check_consistency, c, clauses, **consistency_args)
+    assert new == _outcome(check_consistency_enumerate, c, clauses, **consistency_args)
+    gac = _outcome(check_gac, c, clauses)
+    assert gac == _outcome(check_gac_enumerate, c, clauses)
+    return new, gac
+
+
+def _drop_one(clauses, rng, count):
+    """Copies of `clauses` with one clause removed each."""
+    if not clauses:
+        return []
+    picks = rng.sample(range(len(clauses)), min(count, len(clauses)))
+    return [clauses[:k] + clauses[k + 1:] for k in picks]
+
+
+@pytest.mark.parametrize("method", ["bdd1", "bdd2", "bdd3", "ite6"])
+def test_walk_matches_enumeration_on_seeded_corpus(method):
+    rng = random.Random(7)
+    witnesses = 0
+    for seed in range(24):
+        c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
+        out, _ = run_pipeline(method, c)
+        cnfs = [out.clauses]
+        if len(c.terms) <= 6:
+            cnfs += _drop_one(out.clauses, rng, 3)
+        for clauses in cnfs:
+            new, gac = _same_verdicts(c, clauses)
+            witnesses += (new is not None) + (gac is not None)
+    assert witnesses > 0  # dropped clauses do produce counterexamples
+
+
+def test_walk_matches_enumeration_in_root_mode():
+    from pbdd import clause_set_for, encode_monotone
+
+    rng = random.Random(8)
+    witnesses = 0
+    for seed in range(30):
+        c = random_constraint(seed, seed % 6 + 1, 60, "uniform")
+        r = build(c)
+        out = clause_set_for(c)
+        root_var = encode_monotone(r.store, r.root, r.level_lits, out,
+                                   root_mode="consistency")
+        for clauses in [out.clauses, *_drop_one(out.clauses, rng, 3)]:
+            new, _ = _same_verdicts(c, clauses, mode="root", root_var=root_var)
+            witnesses += new is not None
+            # conflict mode is wrong for this encoding whenever A is inextensible
+            _same_verdicts(c, clauses)
+    assert witnesses > 0
+
+
+def test_walk_matches_enumeration_on_degenerate_cnfs():
+    for bound in (-1, 0, 4, 6, 10):
+        c = PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], bound)
+        clauses = pipeline_bdd1(c).clauses
+        cases = [
+            [],
+            [()],                     # empty clause
+            clauses + [()],
+            [(1,), (-1,)],            # conflicting initial units
+            clauses + [(2,), (-2,)],
+            clauses + [(-3,)],        # a unit the constraint does not force
+            [(1, 2), (-1, 2), (-2,)],  # units derived at level 0 conflict
+        ]
+        for clauses in cases:
+            _same_verdicts(c, clauses)
+    for bound in (-1, 0, 3):
+        empty = PBConstraint.from_pairs([], bound)  # zero terms
+        for clauses in ([], [()], [(1,)], [(-1,)], [(1,), (-1,)]):
+            _same_verdicts(empty, clauses)
+            _same_verdicts(empty, clauses, mode="root", root_var=1)
+
+
+def test_gac_walk_continues_below_a_conflict():
+    # x1 alone conflicts, but {x1} forces nothing (4 + 4 <= 8); the first
+    # violation is further down, at {x1, x3}, which forces ~x2
+    c = PBConstraint.from_pairs([(4, 1), (4, 2), (4, 3)], 8)
+    clauses = pipeline_bdd1(c).clauses + [(-1, 9), (-1, -9)]
+    _, gac = _same_verdicts(c, clauses)
+    assert gac == ({1: True, 3: True}, None, "spurious conflict on extendable assignment")
+
+
+def test_walk_keeps_errors():
+    with pytest.raises(ValueError):
+        check_consistency(RUN, [], mode="root")
+    with pytest.raises(ValueError):
+        check_consistency(RUN, [], mode="nope")
+    big = PBConstraint.from_pairs([(1, v) for v in range(1, 10)], 3)
+    for check in (check_consistency, check_gac):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            check(big, [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coefs=st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=0, max_size=5),
+    bound=st.integers(-3, 40),
+    clauses=st.lists(
+        st.lists(st.integers(-8, 8).filter(bool), min_size=0, max_size=4),
+        max_size=12,
+    ),
+    method=st.sampled_from(["bdd1", "bdd2", "bdd3", "ite6", None]),
+    drop=st.integers(0, 200),
+    root=st.integers(0, 100),
+)
+def test_hypothesis_walk_matches_enumeration(coefs, bound, clauses, method, drop, root):
+    c = PBConstraint.from_pairs(
+        [(a, v if positive else -v) for v, (a, positive) in enumerate(coefs, 1)],
+        bound,
+    )
+    if method is not None:  # an encoding, perhaps missing one clause
+        clauses = run_pipeline(method, c)[0].clauses
+        if clauses and drop < 2 * len(clauses):
+            clauses = clauses[:drop % len(clauses)] + clauses[drop % len(clauses) + 1:]
+    _same_verdicts(c, clauses)
+    used = sorted({abs(l) for cl in clauses for l in cl} | set(c.variables()))
+    if used:
+        _same_verdicts(c, clauses, mode="root", root_var=used[root % len(used)])
+
