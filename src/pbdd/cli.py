@@ -374,6 +374,8 @@ def main(argv=None) -> int:
             parser.error(f"verify --max-n must be between 1 and {DEFAULT_EXTEND_LIMIT}")
         if args.max_coeff < 1:
             parser.error("verify --max-coeff must be >= 1")
+        if args.seeds < 1:
+            parser.error("verify --seeds must be >= 1")
     if args.command == "gen":
         if args.n < 1:
             parser.error("gen --n must be >= 1")

@@ -10,26 +10,24 @@ ternary clause) and differ in what diagram they encode:
   bdd3 - one decomposed, consistency-mode encoding per input literal fixed
          true, wired back with a binary clause per literal (arc-consistent).
 
-`encode_ite6` is the classic 6-clause if-then-else translation, kept as a
-baseline.  Emission always produces the terminal unit clauses and then
-eliminates them by unit simplification, so outputs never mention the
-terminal helper variables.  Simplification costs one pass over the
-emitted clauses plus work proportional to the clauses touched by derived
-units, and its output order is that of rescanning every clause until
-nothing changes: derived units first, then the surviving clauses in
-emission order.
+`encode_monotone` serves all three.  For a reduced monotone diagram it
+knows the unit-simplified result of its raw clauses without propagating:
+the terminals fold into their parents' clauses, and the only units are
+the root and its all-false (lo) chain, so it writes the final clauses in
+one pass over the nodes.  `encode_ite6`, the classic 6-clause
+if-then-else baseline, accepts arbitrary diagrams and simplifies its raw
+clauses with one `UnitPropagator.run`.  Both allocate two terminal helper
+ids per diagram, which `p cnf` counts and no clause mentions.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import accumulate
 
 from .builder import BuildResult, build
 from .constraints import PBConstraint, Term
-from .robdd import NodeStore, TRUE_NODE, reachable_nodes
+from .propagate import CONFLICT, UnitPropagator
+from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
 
 Clause = tuple[int, ...]
 
@@ -118,178 +116,11 @@ def decompose(c: PBConstraint) -> Decomposition:
     )
 
 
-def _open_literals(lits, value: dict[int, bool]) -> list[int] | None:
-    """The unassigned literals of a clause, or None if it is satisfied or a tautology."""
-    pending = []
-    for l in lits:
-        have = value.get(abs(l))
-        if have is None:
-            if -l in lits:
-                return None  # tautology
-            pending.append(l)
-        elif have == (l > 0):
-            return None
-    return pending
-
-
-def _occurrences(clauses: list[list[int] | None]):
-    """CSR occurrence lists of the variables of the live clauses.
-
-    Returns (slot, start, occ): the live clauses mentioning variable v are
-    occ[start[slot[v]]:start[slot[v] + 1]], in ascending clause order.
-    """
-    slot: dict[int, int] = {}
-    counts: list[int] = []
-    for cl in clauses:
-        if cl is not None:
-            for l in cl:
-                v = abs(l)
-                s = slot.get(v)
-                if s is None:
-                    slot[v] = len(counts)
-                    counts.append(1)
-                else:
-                    counts[s] += 1
-    start = array("i", accumulate(counts, initial=0))
-    fill = array("i", start)
-    occ = array("i", bytes(4 * start[-1]))
-    for ci, cl in enumerate(clauses):
-        if cl is not None:
-            for l in cl:
-                s = slot[abs(l)]
-                occ[fill[s]] = ci
-                fill[s] += 1
-    return slot, start, occ
-
-
-def _unit_simplify(raw: list[list[int]], fixed: dict[int, bool]) -> list[Clause]:
-    """Propagate the terminal constants and any derived units through `raw`.
-
-    Clauses satisfied by a propagated literal are dropped, false literals
-    are deleted, and derived unit clauses over non-fixed variables stay in
-    the output.  A derived contradiction collapses to a single empty clause.
-
-    Order contract: the result is that of rescanning all clauses in order
-    until a whole pass changes nothing (`unit_simplify_fixpoint` in the
-    test oracles): derived units first, in derivation order, then the
-    surviving clauses in input order.  Only the first pass scans every
-    clause.  Later passes are replayed from a worklist ordered by
-    (pass, clause index): when clause i assigns v, each live clause k
-    mentioning v is examined again later in the same pass if k > i and in
-    the next pass otherwise, which is when the full rescan would first see
-    the change.  Cost: one pass over the clauses plus work proportional to
-    the clauses touched by derived units.  `raw` is consumed.
-    """
-    value = dict(fixed)
-    units: list[int] = []
-
-    def assign(l: int) -> int:
-        v = abs(l)
-        value[v] = l > 0
-        if v not in fixed:
-            units.append(l)
-        return v
-
-    # pass 1.  `raw` is consumed in place: a live clause is kept as its
-    # open literals at its last examination, and None marks a dropped one.
-    clauses: list[list[int] | None] = raw
-    for ci, cl in enumerate(clauses):
-        pending = _open_literals(dict.fromkeys(cl), value)
-        if pending is not None and len(pending) < 2:
-            if not pending:
-                return [()]
-            assign(pending[0])
-            pending = None
-        clauses[ci] = pending
-
-    # pass 2 examines the live clauses that hold a variable assigned after
-    # they were scanned; every assigned variable they hold qualifies
-    current: list[int] = []
-    if len(value) > len(fixed):
-        current = [
-            ci for ci, cl in enumerate(clauses)
-            if cl is not None and any(abs(l) in value for l in cl)
-        ]
-    if current:
-        slot, start, occ = _occurrences(clauses)
-        queued_for = array("i", bytes(4 * len(clauses)))
-        pass_no = 2
-        for ci in current:
-            queued_for[ci] = pass_no
-        following: list[int] = []
-        while current:
-            while current:
-                ci = heappop(current)
-                pending = _open_literals(clauses[ci], value)
-                if pending is None or len(pending) > 1:
-                    clauses[ci] = pending
-                    continue
-                if not pending:
-                    return [()]
-                clauses[ci] = None
-                s = slot[assign(pending[0])]
-                for k in occ[start[s]:start[s + 1]]:
-                    if clauses[k] is None:
-                        continue
-                    if k > ci:
-                        if queued_for[k] != pass_no:
-                            queued_for[k] = pass_no
-                            heappush(current, k)
-                    elif queued_for[k] != pass_no + 1:
-                        queued_for[k] = pass_no + 1
-                        following.append(k)
-            following.sort()
-            current, following = following, []
-            pass_no += 1
-
-    # every live clause was last examined after its variables' assignments
-    out: list[Clause] = [(u,) for u in units]
-    out.extend(tuple(cl) for cl in clauses if cl is not None)
-    return out
-
-
-def _emit(
-    store: NodeStore,
-    root: int,
-    selector_lits,
-    out: ClauseSet,
-    per_node,
-    root_mode: str,
-    implied_lit: int | None,
-) -> int | None:
+def _node_vars(store: NodeStore, root: int, out: ClauseSet):
+    """Reachable nodes in id order, their auxiliary variables, TRUE and FALSE helper ids."""
     nodes = reachable_nodes(store, root)
-    var_of: dict[int, int] = {}
-    for nid in nodes:
-        var_of[nid] = out.new_var()
-    # transient helper variables for the two terminals, eliminated below
-    top = out.new_var()
-    bot = out.new_var()
-
-    def lit_of(child: int) -> int:
-        if child >= 2:
-            return var_of[child]
-        return top if child == TRUE_NODE else bot
-
-    raw: list[list[int]] = []
-    for nid in nodes:
-        level, lo, hi = store.node(nid)
-        x = selector_lits[level - 1]
-        raw.extend(per_node(var_of[nid], x, lit_of(lo), lit_of(hi)))
-    raw.append([top])
-    raw.append([-bot])
-    if root_mode == "unit":
-        raw.append([lit_of(root)])
-    elif root_mode == "implies":
-        if implied_lit is None:
-            raise ValueError("root_mode='implies' needs implied_lit")
-        raw.append([lit_of(root), -implied_lit])
-    elif root_mode != "consistency":
-        raise ValueError(f"unknown root_mode {root_mode!r}")
-
-    out.raw_count += len(raw)
-    for cl in _unit_simplify(raw, {top: True, bot: False}):
-        out.add(cl)
-    return var_of.get(root)
+    var_of = {nid: out.new_var() for nid in nodes}
+    return nodes, var_of, out.new_var(), out.new_var()
 
 
 def encode_monotone(
@@ -303,38 +134,124 @@ def encode_monotone(
     """Two clauses per node for a diagram of a monotone decreasing function.
 
     For a node n with selector literal x and children f (lo) and t (hi):
-    `f' -> n'` and `t' & x -> n'` (primes denote negation).  The diagram
-    need not be reduced or even test each input once, but it must be
-    monotone; that is not checked here.  `root_mode` is "unit" (assert the
-    root), "implies" (add `root | -implied_lit`), or "consistency" (no
-    root clause).  Returns the root's auxiliary variable, None for a
-    terminal root.
+    `f' -> n'` and `t' & x -> n'` (primes denote negation).  `root_mode` is
+    "unit" (assert the root), "implies" (add `root | -implied_lit`), or
+    "consistency" (no root clause).  Returns the root's auxiliary variable,
+    None for a terminal root.
+
+    Preconditions: the diagram is reduced (any `NodeStore` diagram is) and
+    monotone, and a variable may label several levels but always with the
+    same polarity.  Then no lo edge goes to FALSE and no hi edge to TRUE
+    (ValueError otherwise).  A TRUE lo child drops the lo clause and a
+    FALSE hi child shortens the hi clause to `x -> n'`.  In "unit" mode the
+    only units are the root, then per lo-chain node its lo child and its
+    `x'` when hi is FALSE and `x'` is new; the other clauses follow in node
+    order, without those a unit satisfies and without negated chain nodes.
+    This is the rescan-to-fixpoint simplification of the raw clauses with
+    two terminal helpers, whose count goes to `out.raw_count`.
     """
+    if root_mode == "implies" and implied_lit is None:
+        raise ValueError("root_mode='implies' needs implied_lit")
+    if root_mode not in ("unit", "implies", "consistency"):
+        raise ValueError(f"unknown root_mode {root_mode!r}")
+    nodes, var_of, _, _ = _node_vars(store, root, out)
+    out.raw_count += 2 * len(nodes) + 2 + (root_mode != "consistency")
+    if root < 2:
+        if root == FALSE_NODE and root_mode == "unit":
+            out.add(())
+        elif root == FALSE_NODE and root_mode == "implies":
+            out.add((-implied_lit,))
+        return None
 
-    def per_node(nvar: int, x: int, lo_lit: int, hi_lit: int):
-        return [[lo_lit, -nvar], [hi_lit, -x, -nvar]]
+    chain: set[int] = set()
+    forced: set[int] = set()
+    if root_mode == "unit":
+        out.add((var_of[root],))
+        nid = root
+        while nid >= 2:
+            chain.add(nid)
+            level, lo, hi = store.node(nid)
+            if lo >= 2:
+                out.add((var_of[lo],))
+            nx = -selector_lits[level - 1]
+            if hi == FALSE_NODE and nx not in forced:
+                forced.add(nx)
+                out.add((nx,))
+            nid = lo
 
-    return _emit(store, root, selector_lits, out, per_node, root_mode, implied_lit)
+    for nid in nodes:
+        level, lo, hi = store.node(nid)
+        if lo == FALSE_NODE or hi == TRUE_NODE:
+            raise ValueError(f"node {nid} is not monotone decreasing")
+        n = var_of[nid]
+        nx = -selector_lits[level - 1]
+        if lo != TRUE_NODE and lo not in chain:
+            out.add((var_of[lo], -n))
+        # hi is never a chain node: that all-false restriction bounds lo
+        # from above and hi <= lo, so lo would equal hi
+        if nx in forced:
+            continue
+        if hi == FALSE_NODE:
+            out.add((nx, -n))
+        else:
+            out.add((var_of[hi], nx) if nid in chain else (var_of[hi], nx, -n))
+    if root_mode == "implies":
+        out.add((var_of[root], -implied_lit))
+    return var_of[root]
 
 
 def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
     """Classic six-clause if-then-else translation, root asserted true.
 
     Works for arbitrary (not necessarily monotone) diagrams; emits
-    6 clauses per node plus 3 units before simplification.
+    6 clauses per node plus 3 units, the terminals as helper variables, and
+    simplifies them with one `UnitPropagator.run`: the derived units in
+    trail order, then each unsatisfied clause's open literals in emission
+    order, or one empty clause on a conflict.  When each variable labels
+    one level, as in every pipeline, the trail order is that of a rescan
+    to fixpoint; a variable on several levels may reorder the units.
     """
+    nodes, var_of, top, bot = _node_vars(store, root, out)
 
-    def per_node(nvar: int, x: int, f: int, t: int):
-        return [
-            [x, f, -nvar],
-            [-x, t, -nvar],
-            [f, t, -nvar],
-            [x, -f, nvar],
-            [-x, -t, nvar],
-            [-f, -t, nvar],
+    def lit_of(child: int) -> int:
+        if child >= 2:
+            return var_of[child]
+        return top if child == TRUE_NODE else bot
+
+    raw: list[list[int]] = []
+    for nid in nodes:
+        level, lo, hi = store.node(nid)
+        x, f, t, n = selector_lits[level - 1], lit_of(lo), lit_of(hi), var_of[nid]
+        raw += [
+            [x, f, -n],
+            [-x, t, -n],
+            [f, t, -n],
+            [x, -f, n],
+            [-x, -t, n],
+            [-f, -t, n],
         ]
+    raw += [[top], [-bot], [lit_of(root)]]
+    out.raw_count += len(raw)
 
-    return _emit(store, root, selector_lits, out, per_node, "unit", None)
+    engine = UnitPropagator(raw)
+    status, values, trail, _, _ = engine.run(())
+    if status == CONFLICT:
+        out.add(())
+        return var_of.get(root)
+    for lit in trail:
+        if abs(lit) != top and abs(lit) != bot:
+            out.add((lit,))
+    for cl in engine.clauses:
+        pending = []
+        for l in cl:
+            have = values[abs(l)]
+            if not have:
+                pending.append(l)
+            elif have == (1 if l > 0 else 2):
+                break
+        else:
+            out.add(tuple(pending))
+    return var_of.get(root)
 
 
 def _trivial(c: PBConstraint, out: ClauseSet) -> bool:

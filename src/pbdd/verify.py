@@ -122,6 +122,9 @@ def check_consistency(
     engine, conflict, steps = _walk_setup(c, cnf, limit)
     if mode == "root" and root_var is None:
         raise ValueError("mode='root' needs root_var")
+    if mode == "root" and not 1 <= root_var <= engine.num_vars:
+        raise ValueError(f"root_var {root_var} is not a variable of the clauses "
+                         f"or the constraint (1..{engine.num_vars})")
     if mode not in ("conflict", "root"):
         raise ValueError(f"unknown mode {mode!r}")
     values, trail = engine.values, engine.trail

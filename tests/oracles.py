@@ -3,7 +3,9 @@
 The node counter builds a full decision tree and reduces it textbook
 style, models come from exhaustive evaluation, satisfiability checks are
 a tiny self-contained DPLL, and propagation results can be replayed
-against the clause list to validate conflict claims.  The enumerating
+against the clause list to validate conflict claims.  The reference
+emitters are the original raw emission of `pbdd.encode` followed by a
+rescan-to-fixpoint unit simplification.  The enumerating
 property checkers at the end are the previous implementations of
 `pbdd.verify`'s checkers; they use only `UnitPropagator.run`, which
 propagates every assignment from scratch.
@@ -16,6 +18,7 @@ from typing import Mapping
 
 from pbdd.constraints import PBConstraint, evaluate
 from pbdd.propagate import CONFLICT, UnitPropagator
+from pbdd.robdd import TRUE_NODE, reachable_nodes
 from pbdd.verify import DEFAULT_ENUM_LIMIT, DEFAULT_EXTEND_LIMIT, Counterexample
 
 
@@ -171,8 +174,10 @@ def reference_unit_propagate(clauses, seed):
 def unit_simplify_fixpoint(raw: list[list[int]], fixed: dict[int, bool]) -> list[tuple[int, ...]]:
     """Reference unit simplification: rescan every clause until a pass changes nothing.
 
-    The original `pbdd.encode._unit_simplify`, kept as the differential
-    oracle for the worklist version, which must return the same list.
+    The original simplifier of `pbdd.encode`, kept as the differential
+    oracle for the direct emission of `encode_monotone` and the
+    propagation-based simplification of `encode_ite6`, which must give the
+    same list through `reference_emit`.
 
     Clauses satisfied by a propagated literal are dropped, false literals
     are deleted, and derived unit clauses over non-fixed variables stay in
@@ -218,6 +223,72 @@ def unit_simplify_fixpoint(raw: list[list[int]], fixed: dict[int, bool]) -> list
         if live[ci]:
             out.append(tuple(l for l in cl if abs(l) not in value))
     return out
+
+
+def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit):
+    """The original emitter: raw clauses with two terminal helpers, then simplified.
+
+    Allocates one auxiliary variable per reachable node in id order plus
+    the TRUE and FALSE helpers, emits `per_node(n, x, lo, hi)` for every
+    node, the helper units and the root clause, counts them into
+    `out.raw_count`, and adds the `unit_simplify_fixpoint` result to `out`.
+    """
+    nodes = reachable_nodes(store, root)
+    var_of = {nid: out.new_var() for nid in nodes}
+    top = out.new_var()
+    bot = out.new_var()
+
+    def lit_of(child: int) -> int:
+        if child >= 2:
+            return var_of[child]
+        return top if child == TRUE_NODE else bot
+
+    raw: list[list[int]] = []
+    for nid in nodes:
+        level, lo, hi = store.node(nid)
+        x = selector_lits[level - 1]
+        raw.extend(per_node(var_of[nid], x, lit_of(lo), lit_of(hi)))
+    raw.append([top])
+    raw.append([-bot])
+    if root_mode == "unit":
+        raw.append([lit_of(root)])
+    elif root_mode == "implies":
+        if implied_lit is None:
+            raise ValueError("root_mode='implies' needs implied_lit")
+        raw.append([lit_of(root), -implied_lit])
+    elif root_mode != "consistency":
+        raise ValueError(f"unknown root_mode {root_mode!r}")
+
+    out.raw_count += len(raw)
+    for cl in unit_simplify_fixpoint(raw, {top: True, bot: False}):
+        out.add(cl)
+    return var_of.get(root)
+
+
+def reference_encode_monotone(store, root, selector_lits, out,
+                              root_mode="unit", implied_lit=None):
+    """`encode_monotone` by raw emission and the fixpoint simplifier."""
+
+    def per_node(nvar, x, lo_lit, hi_lit):
+        return [[lo_lit, -nvar], [hi_lit, -x, -nvar]]
+
+    return reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit)
+
+
+def reference_encode_ite6(store, root, selector_lits, out):
+    """`encode_ite6` by raw emission and the fixpoint simplifier."""
+
+    def per_node(nvar, x, f, t):
+        return [
+            [x, f, -nvar],
+            [-x, t, -nvar],
+            [f, t, -nvar],
+            [x, -f, nvar],
+            [-x, -t, nvar],
+            [-f, -t, nvar],
+        ]
+
+    return reference_emit(store, root, selector_lits, out, per_node, "unit", None)
 
 
 def cnf_model_set_matches(c: PBConstraint, clauses, engine=None) -> bool:
@@ -354,6 +425,10 @@ def check_consistency_enumerate(
         raise ValueError(f"unknown mode {mode!r}")
     variables = c.variables()
     engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
+    # the argument check of `pbdd.verify.check_consistency`
+    if mode == "root" and not 1 <= root_var <= engine.num_vars:
+        raise ValueError(f"root_var {root_var} is not a variable of the clauses "
+                         f"or the constraint (1..{engine.num_vars})")
     bound = c.bound
     for a in _partial_assignments(variables):
         seed = [v if b else -v for v, b in a.items()]

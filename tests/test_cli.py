@@ -208,6 +208,8 @@ def test_node_budget_env_override(tmp_path):
     ["gen", "--family", "hosaka", "--n", "-1"],
     ["gen", "--family", "bailleux", "--n", "3", "--a", "127", "--b", "2"],
     ["gen", "--family", "bailleux", "--n", "6", "--a", "10", "--b", "2"],
+    ["verify", "--method", "bdd1", "--seeds", "-2"],
+    ["verify", "--method", "bdd1", "--seeds", "0"],
 ])
 def test_bad_numeric_arguments_are_usage_errors(args):
     code, out, err = run_cli(args)

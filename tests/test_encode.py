@@ -23,6 +23,7 @@ from pbdd import (
     pipeline_bdd3,
     pipeline_ite6,
     random_constraint,
+    reachable_nodes,
     run_pipeline,
 )
 
@@ -134,6 +135,34 @@ def test_encode_monotone_terminal_roots():
     out2 = ClauseSet(num_inputs=3)
     assert encode_monotone(store, FALSE_NODE, (), out2) is None
     assert out2.clauses == [()]
+
+
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_encode_monotone_rejects_non_monotone_edges(edge):
+    # a lo edge to FALSE or a hi edge to TRUE: not monotone decreasing
+    store = NodeStore()
+    below = store.mk_node(2, TRUE_NODE, FALSE_NODE)  # x2'
+    if edge == "lo":
+        root = store.mk_node(1, FALSE_NODE, below)
+    else:
+        root = store.mk_node(1, below, TRUE_NODE)
+    with pytest.raises(ValueError, match="not monotone"):
+        encode_monotone(store, root, (1, 2), ClauseSet(num_inputs=2))
+
+
+def test_hi_child_is_never_on_the_root_lo_chain():
+    # encode_monotone keeps hi clauses without looking for chain nodes
+    for seed in range(200):
+        c = random_constraint(seed, seed % 10 + 1, 80, "uniform" if seed % 3 else 0.5)
+        if c.trivially_true or c.trivially_false:
+            continue
+        for r in (build(c), build(decompose(c).decomposed)):
+            chain, nid = set(), r.root
+            while nid >= 2:
+                chain.add(nid)
+                nid = r.store.lo(nid)
+            for nid in reachable_nodes(r.store, r.root):
+                assert r.store.hi(nid) not in chain
 
 
 def test_encode_monotone_clause_shape():

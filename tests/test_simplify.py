@@ -1,9 +1,18 @@
-"""Differential tests: the worklist unit simplifier against the fixpoint rescan.
+"""Differential tests: the encoders against the original emit-then-simplify path.
 
-`pbdd.encode._unit_simplify` replays the passes of the old full-rescan
-simplifier from a worklist.  Its contract is list equality with
-`oracles.unit_simplify_fixpoint`: same units in the same order, same
-surviving clauses in the same order, `[()]` on a conflict.
+`pbdd.encode.encode_monotone` writes its final clauses directly and
+`encode_ite6` simplifies with one `UnitPropagator.run`.  Their contract is
+list equality with `oracles.reference_encode_monotone` and
+`oracles.reference_encode_ite6`, which emit the raw clauses with two
+terminal helper variables and rescan them to a fixpoint
+(`oracles.unit_simplify_fixpoint`): same units in the same order, same
+surviving clauses in the same order, `[()]` on a conflict, and the same
+`raw_count` and `next_var`.
+
+The clause-list tests check the fixpoint oracle itself against the
+propagation engine: the same units (as a set, since a rescan and a queue
+may derive them in different orders), the same surviving clauses in the
+same order, and a conflict exactly when propagation finds one.
 """
 
 import random
@@ -13,10 +22,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbdd.encode as encode
-from pbdd import PBConstraint, cardinality, hosaka_family, random_constraint, run_pipeline
-from pbdd.encode import PIPELINES, _unit_simplify
+from pbdd import (
+    ClauseSet,
+    NodeStore,
+    PBConstraint,
+    RawConstraint,
+    build,
+    cardinality,
+    clause_set_for,
+    hosaka_family,
+    normalize,
+    random_constraint,
+    run_pipeline,
+)
+from pbdd.encode import PIPELINES
+from pbdd.propagate import CONFLICT, UnitPropagator
 
-from oracles import unit_simplify_fixpoint
+from oracles import reference_encode_ite6, reference_encode_monotone, unit_simplify_fixpoint
 
 
 def random_case(rng: random.Random):
@@ -35,7 +57,7 @@ def chain_case(rng: random.Random, length: int):
     """A shuffled implication chain a1 <- a2 <- ... <- an, asserted at one end.
 
     Each unit has to travel clause by clause, so depending on the shuffle
-    it is picked up later in the same pass or only in the next one.
+    a rescan picks it up later in the same pass or only in the next one.
     """
     vs = list(range(2, length + 2))
     raw = [[vs[i], -vs[i + 1], 1] for i in range(length - 1)]
@@ -46,19 +68,44 @@ def chain_case(rng: random.Random, length: int):
     return raw, {1: rng.random() < 0.5}
 
 
-def assert_same(raw, fixed):
-    want = unit_simplify_fixpoint([list(cl) for cl in raw], dict(fixed))
-    got = _unit_simplify([list(cl) for cl in raw], dict(fixed))
-    assert got == want, (raw, fixed)
+def propagation_simplify(raw, fixed):
+    """Units (as a set) and surviving clauses read off one `UnitPropagator.run`.
+
+    None on a conflict.  Tautologies count as satisfied, as in the rescan.
+    """
+    engine = UnitPropagator(raw, num_vars=max(fixed, default=0))
+    status, values, trail, _, _ = engine.run([v if b else -v for v, b in fixed.items()])
+    if status == CONFLICT:
+        return None
+    units = {l for l in trail if abs(l) not in fixed}
+    rest = []
+    for cl in engine.clauses:
+        if any(values[abs(l)] == (1 if l > 0 else 2) or -l in cl for l in cl):
+            continue
+        rest.append(tuple(l for l in cl if not values[abs(l)]))
+    return units, rest
+
+
+def assert_oracle_agrees_with_propagation(raw, fixed, want=None):
+    got = unit_simplify_fixpoint([list(cl) for cl in raw], dict(fixed))
+    if want is not None:
+        assert got == want
+    expected = propagation_simplify(raw, fixed)
+    if expected is None:
+        assert got == [()], (raw, fixed)
+        return
+    units, rest = expected
+    assert sorted(got[:len(units)]) == sorted((u,) for u in units), (raw, fixed)
+    assert got[len(units):] == rest, (raw, fixed)
 
 
 def test_seeded_random_clause_lists_match_fixpoint():
     rng = random.Random(20260)
     for _ in range(3000):
-        assert_same(*random_case(rng))
+        assert_oracle_agrees_with_propagation(*random_case(rng))
     for length in range(1, 40):
         for _ in range(5):
-            assert_same(*chain_case(rng, length))
+            assert_oracle_agrees_with_propagation(*chain_case(rng, length))
 
 
 @pytest.mark.parametrize("raw, fixed, want", [
@@ -73,8 +120,7 @@ def test_seeded_random_clause_lists_match_fixpoint():
     ([[1, 2, 3], [-3, 4]], {3: False}, [(1, 2)]),      # fixed variable not a unit
 ])
 def test_edge_cases(raw, fixed, want):
-    assert unit_simplify_fixpoint([list(cl) for cl in raw], dict(fixed)) == want
-    assert _unit_simplify([list(cl) for cl in raw], dict(fixed)) == want
+    assert_oracle_agrees_with_propagation(raw, fixed, want)
 
 
 literal = st.integers(1, 8).flatmap(lambda v: st.sampled_from((v, -v)))
@@ -86,7 +132,7 @@ literal = st.integers(1, 8).flatmap(lambda v: st.sampled_from((v, -v)))
     fixed=st.dictionaries(st.integers(1, 8), st.booleans(), max_size=3),
 )
 def test_hypothesis_clause_lists_match_fixpoint(raw, fixed):
-    assert_same(raw, fixed)
+    assert_oracle_agrees_with_propagation(raw, fixed)
 
 
 def corpus():
@@ -100,15 +146,90 @@ def corpus():
             )
         yield c
     yield cardinality(60, 30)
+    yield cardinality(40, 0)  # every node has a FALSE hi child: a chain of x' units
     yield hosaka_family(2)
+    rng = random.Random(4)
+    for _ in range(20):  # coefficients above the bound force their literals false
+        n = rng.randint(2, 7)
+        bound = rng.randint(1, 12)
+        yield PBConstraint.from_pairs(
+            [(rng.randint(1, 2 * bound + 2), rng.choice((-1, 1)) * v) for v in range(1, n + 1)],
+            bound,
+        )
+    for _ in range(12):  # both halves of `=` rows: same coefficients, negated literals
+        n = rng.randint(1, 6)
+        terms = [(rng.choice((-1, 1)) * rng.randint(1, 9), v) for v in range(1, n + 1)]
+        yield from normalize(RawConstraint(terms, "=", rng.randint(-5, 10)))
+
+
+def assert_same_output(got: ClauseSet, want: ClauseSet, context):
+    assert got.clauses == want.clauses, context
+    assert (got.raw_count, got.next_var) == (want.raw_count, want.next_var), context
 
 
 @pytest.mark.parametrize("method", PIPELINES)
 def test_pipelines_match_fixpoint_simplifier(method, monkeypatch):
     constraints = list(corpus())
     production = [run_pipeline(method, c)[0] for c in constraints]
-    monkeypatch.setattr(encode, "_unit_simplify", unit_simplify_fixpoint)
+    monkeypatch.setattr(encode, "encode_monotone", reference_encode_monotone)
+    monkeypatch.setattr(encode, "encode_ite6", reference_encode_ite6)
     for c, got in zip(constraints, production):
-        want = run_pipeline(method, c)[0]
-        assert got.clauses == want.clauses, (method, c)
+        assert_same_output(got, run_pipeline(method, c)[0], (method, c))
+
+
+def test_encode_monotone_consistency_mode_matches_reference():
+    # the pipelines cover "unit" (bdd1, bdd2) and "implies" (bdd3)
+    for c in corpus():
+        if c.trivially_true or c.trivially_false:
+            continue
+        r = build(c)
+        got, want = clause_set_for(c), clause_set_for(c)
+        roots = (encode.encode_monotone(r.store, r.root, r.level_lits, got, "consistency"),
+                 reference_encode_monotone(r.store, r.root, r.level_lits, want, "consistency"))
+        assert roots[0] == roots[1]
+        assert_same_output(got, want, c)
+
+
+def random_diagram(rng: random.Random, repeat_vars: bool):
+    """A random reduced diagram over up to 8 levels, not necessarily monotone.
+
+    Without `repeat_vars` every level tests its own variable, as in the
+    pipelines; with it a variable may label several levels, in either
+    polarity.
+    """
+    store = NodeStore()
+    depth = rng.randint(1, 8)
+    if repeat_vars:
+        num_inputs = rng.randint(1, depth)
+        variables = [rng.randint(1, num_inputs) for _ in range(depth)]
+    else:
+        num_inputs = depth + 2
+        variables = rng.sample(range(1, num_inputs + 1), depth)
+    selectors = [rng.choice((-1, 1)) * v for v in variables]
+    pool = [0, 1]
+    for level in range(depth, 0, -1):
+        pool += [store.mk_node(level, rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(1, 6))]
+    root = rng.choice(pool[-6:])
+    return store, root, selectors, num_inputs
+
+
+@pytest.mark.parametrize("repeat_vars", [False, True])
+def test_ite6_random_diagrams_match_reference(repeat_vars):
+    rng = random.Random(31 + repeat_vars)
+    for _ in range(1500):
+        store, root, selectors, num_inputs = random_diagram(rng, repeat_vars)
+        got, want = ClauseSet(num_inputs=num_inputs), ClauseSet(num_inputs=num_inputs)
+        roots = (encode.encode_ite6(store, root, selectors, got),
+                 reference_encode_ite6(store, root, selectors, want))
+        assert roots[0] == roots[1]
+        if not repeat_vars:
+            assert_same_output(got, want, (store._nodes, root, selectors))
+            continue
+        # a variable on several levels may let the queue derive the units
+        # in another order than the rescan: same units, same other clauses
+        units = sum(len(cl) == 1 for cl in want.clauses)
+        assert sorted(got.clauses[:units]) == sorted(want.clauses[:units])
+        assert got.clauses[units:] == want.clauses[units:]
         assert (got.raw_count, got.next_var) == (want.raw_count, want.next_var)
+

@@ -310,6 +310,10 @@ def test_walk_keeps_errors():
     for check in (check_consistency, check_gac):
         with pytest.raises(ValueError, match="enumeration limit"):
             check(big, [])
+    two = PBConstraint.from_pairs([(2, 1), (3, 2)], 4)
+    for root_var in (9, 0, -1):  # outside the 2 variables
+        with pytest.raises(ValueError, match=f"root_var {root_var} "):
+            check_consistency(two, [(1, 2)], mode="root", root_var=root_var)
 
 
 @settings(max_examples=150, deadline=None)
