@@ -4,17 +4,29 @@ Each level keeps a searchable set of disjoint (interval, node) pairs; a
 lookup that lands inside a stored interval reuses the node, so every
 distinct sub-diagram is built exactly once and the result is reduced by
 construction.
+
+The construction loop runs on plain ints.  A level's finite entries are
+three parallel lists sorted by lower bound (lower bounds, upper bounds,
+node ids), owned by its `LevelStore`.  The two terminal entries are
+implicit: at level i a bound k < 0 gives FALSE and k >= a_i + ... + a_n
+gives TRUE.  Intervals travel as `(lo, hi)` int pairs; only a terminal
+has an infinite end, written None, and it never takes part in
+arithmetic, so coefficients of any size stay exact.  Nodes are added
+straight to the `NodeStore`'s table.  `Interval` objects are made only
+when asked for: `BuildResult.root_interval`/`intervals` and
+`LevelStore.entries`/`search`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .constraints import PBConstraint
 from .intervals import Interval, NEG_INF, POS_INF
-from .robdd import NodeStore, count_nodes, reachable_nodes
+from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, count_nodes, reachable_nodes
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -24,46 +36,61 @@ class NodeBudgetExceeded(RuntimeError):
 class LevelStore:
     """Disjoint (interval, node) pairs for one level, keyed by interval lower bound.
 
-    Disjointness makes lower-bound bisection sufficient for lookups; it is
-    checked on every insert (ValueError).
+    The finite pairs are the parallel lists `lows`, `his` and `nodes`,
+    sorted by lower bound.  The terminal pairs (-inf, -1] -> FALSE and
+    [top, +inf) -> TRUE are implicit, `top` being the level's suffix sum;
+    `len` counts them.  Disjointness makes lower-bound bisection
+    sufficient for lookups; it is checked on every insert (ValueError).
     """
 
-    __slots__ = ("level", "_lows", "_entries")
+    __slots__ = ("level", "top", "lows", "his", "nodes")
 
-    def __init__(self, level: int):
+    def __init__(self, level: int, top: int):
         self.level = level
-        self._lows: list = []
-        self._entries: list[tuple[Interval, int]] = []
+        self.top = top
+        self.lows: list[int] = []
+        self.his: list[int] = []
+        self.nodes: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.nodes) + 2
 
     def entries(self) -> list[tuple[Interval, int]]:
-        return list(self._entries)
+        """Every pair in interval order, terminals included."""
+        return [
+            (Interval(NEG_INF, -1), FALSE_NODE),
+            *((Interval(lo, hi), node) for lo, hi, node in zip(self.lows, self.his, self.nodes)),
+            (Interval(self.top, POS_INF), TRUE_NODE),
+        ]
 
     def search(self, k: int) -> tuple[Interval, int] | None:
         """The unique stored pair whose interval contains `k`, if any."""
-        idx = bisect_right(self._lows, k) - 1
-        if idx >= 0:
-            iv, node = self._entries[idx]
-            if k <= iv.hi:
-                return iv, node
+        if k < 0:
+            return Interval(NEG_INF, -1), FALSE_NODE
+        if k >= self.top:
+            return Interval(self.top, POS_INF), TRUE_NODE
+        idx = bisect_right(self.lows, k) - 1
+        if idx >= 0 and k <= self.his[idx]:
+            return Interval(self.lows[idx], self.his[idx]), self.nodes[idx]
         return None
 
     def insert(self, iv: Interval, node: int) -> None:
         if iv.is_empty:
             raise ValueError("refusing to insert an empty interval")
-        idx = bisect_right(self._lows, iv.lo)
-        if idx > 0:
-            prev, _ = self._entries[idx - 1]
-            if not prev.hi < iv.lo:
-                raise ValueError(f"interval {iv} overlaps stored {prev}")
-        if idx < len(self._entries):
-            nxt, _ = self._entries[idx]
-            if not iv.hi < nxt.lo:
-                raise ValueError(f"interval {iv} overlaps stored {nxt}")
-        self._lows.insert(idx, iv.lo)
-        self._entries.insert(idx, (iv, node))
+        if iv.lo == NEG_INF or iv.hi == POS_INF:
+            raise ValueError(f"interval {iv} overlaps a terminal entry")
+        self._put(bisect_right(self.lows, iv.lo), iv.lo, iv.hi, node)
+
+    def _put(self, idx: int, lo: int, hi: int, node: int) -> None:
+        """Insert finite, non-empty [lo, hi] at position `idx` of the sorted lists."""
+        lows = self.lows
+        below = self.his[idx - 1] if idx else -1
+        above = lows[idx] if idx < len(lows) else self.top
+        if not below < lo or not hi < above:
+            raise ValueError(f"interval [{lo}, {hi}] overlaps a stored entry at level {self.level}")
+        lows.insert(idx, lo)
+        self.his.insert(idx, hi)
+        self.nodes.insert(idx, node)
 
 
 @dataclass
@@ -82,10 +109,11 @@ class BuildResult:
     level_lits: tuple[int, ...]     # signed input literal per level
     store: NodeStore
     root: int
-    root_interval: Interval         # bounds interchangeable with the input bound
-    intervals: dict[int, Interval]  # per created node, at its own selector level
     level_stores: tuple[LevelStore, ...]
-    stats: BuildStats = field(default_factory=BuildStats)
+    stats: BuildStats
+    root_bounds: tuple[int | None, int | None] = field(repr=False)
+    # (lo, hi, node) per node-making step, in construction order
+    made: list[tuple[int, int, int]] = field(repr=False)
 
     @property
     def levels(self) -> int:
@@ -94,6 +122,17 @@ class BuildResult:
     @property
     def node_count(self) -> int:
         return count_nodes(self.store, self.root)
+
+    @cached_property
+    def root_interval(self) -> Interval:
+        """Bounds interchangeable with the input bound."""
+        lo, hi = self.root_bounds
+        return Interval(NEG_INF if lo is None else lo, POS_INF if hi is None else hi)
+
+    @cached_property
+    def intervals(self) -> dict[int, Interval]:
+        """Interval per created node, at its own selector level, in creation order."""
+        return {node: Interval(lo, hi) for lo, hi, node in self.made}
 
 
 def level_widths(result: BuildResult) -> list[int]:
@@ -136,57 +175,86 @@ def build(
     suffix = [0] * (n + 2)
     for i in range(n, 0, -1):
         suffix[i] = suffix[i + 1] + coefs[i - 1]
+    coef_at = (0, *coefs)
+    levels = [LevelStore(i, suffix[i]) for i in range(1, n + 2)]
+    lows_at = [None, *(ls.lows for ls in levels)]
+    his_at = [None, *(ls.his for ls in levels)]
+    nodes_at = [None, *(ls.nodes for ls in levels)]
+    true_at = [(top, None, TRUE_NODE) for top in suffix]
+    false_entry = (None, -1, FALSE_NODE)
 
-    levels = [None] + [LevelStore(i) for i in range(1, n + 2)]
-    for i in range(1, n + 2):
-        levels[i].insert(Interval(NEG_INF, -1), 0)
-        levels[i].insert(Interval(suffix[i], POS_INF), 1)
-
-    stats = BuildStats()
-    intervals: dict[int, Interval] = {}
+    table = store._nodes
+    unique = store._unique
+    before = len(table)
+    cap = None if node_budget is None else before + node_budget
+    merges = 0
+    made: list[tuple[int, int, int]] = []
 
     # Explicit stack instead of recursion: coefficient decomposition can
     # produce n*(log a_max + 1) levels, well past the recursion limit.
-    results: list[tuple[Interval, int]] = []
-    stack: list[tuple[int, int, bool]] = [(1, c.bound, False)]
+    # (i, k) is a call at level i with bound k.  (-i, idx) combines the two
+    # results on top of `results` into a level-i entry at position idx of
+    # that level's lists: only deeper levels change between the call's
+    # bisection and its combine, so the position stays valid.
+    results: list[tuple[int | None, int | None, int]] = []
+    stack: list[tuple[int, int]] = [(1, c.bound)]
     while stack:
-        i, k, combine = stack.pop()
-        if combine:
-            t_iv, t_node = results.pop()
-            f_iv, f_node = results.pop()
-            a = coefs[i - 1]
-            if f_iv == t_iv:
-                stats.merges += 1
-                node = t_node
-                iv = Interval(t_iv.lo + a, t_iv.hi)
+        i, k = stack.pop()
+        if i < 0:
+            i, idx = -i, k
+            t_lo, t_hi, t_node = results.pop()
+            f_lo, f_hi, f_node = results.pop()
+            a = coef_at[i]
+            if f_lo == t_lo and f_hi == t_hi:
+                merges += 1
+                if t_node < 2:
+                    raise ValueError(f"both children at level {i} are one terminal")
+                lo, hi, node = entry = (t_lo + a, t_hi, t_node)
             else:
-                before = len(store)
-                node = store.mk_node(i, f_node, t_node)
-                if len(store) > before:
-                    stats.created += 1
-                    if node_budget is not None and stats.created > node_budget:
-                        raise NodeBudgetExceeded(
-                            f"build exceeded node budget of {node_budget}"
-                        )
-                iv = f_iv.intersect(t_iv.shift(a))
-                if iv.is_empty:
-                    raise ValueError("child intervals do not intersect")
-                intervals[node] = iv
-            levels[i].insert(iv, node)
-            results.append((iv, node))
+                node = f_node
+                if f_node != t_node:
+                    key = (i, f_node, t_node)
+                    node = unique.get(key)
+                    if node is None:
+                        store.check_children(i, f_node, t_node)
+                        table.append(key)
+                        node = len(table) + 1
+                        unique[key] = node
+                        if cap is not None and len(table) > cap:
+                            raise NodeBudgetExceeded(
+                                f"build exceeded node budget of {node_budget}"
+                            )
+                # [f_lo, f_hi] meets [t_lo + a, t_hi + a]; an infinite end
+                # on both sides would have made the two intervals equal
+                lo = f_lo if t_lo is None or (f_lo is not None and f_lo >= t_lo + a) else t_lo + a
+                hi = f_hi if t_hi is None or (f_hi is not None and f_hi <= t_hi + a) else t_hi + a
+                entry = (lo, hi, node)
+                made.append(entry)
+            if not lo <= hi:
+                raise ValueError(f"empty interval [{lo}, {hi}] for a node at level {i}")
+            levels[i - 1]._put(idx, lo, hi, node)
+            results.append(entry)
             continue
-        stats.calls += 1
-        hit = levels[i].search(k)
-        if hit is not None:
-            stats.hits += 1
-            results.append(hit)
-            continue
-        a = coefs[i - 1]
-        stack.append((i, k, True))
-        stack.append((i + 1, k - a, False))  # hi branch: literal true
-        stack.append((i + 1, k, False))      # lo branch evaluated first
+        while True:  # follow lo branches down; hi calls wait on the stack
+            if k < 0:
+                results.append(false_entry)
+                break
+            if k >= suffix[i]:
+                results.append(true_at[i])
+                break
+            lows = lows_at[i]
+            idx = bisect_right(lows, k)
+            if idx and k <= his_at[i][idx - 1]:
+                idx -= 1
+                results.append((lows[idx], his_at[i][idx], nodes_at[i][idx]))
+                break
+            stack.append((-i, idx))
+            stack.append((i + 1, k - coef_at[i]))  # hi branch: literal true
+            i += 1                                  # lo branch evaluated first
 
-    root_interval, root = results.pop()
+    root_lo, root_hi, root = results.pop()
+    # every call is a hit or makes exactly two more calls and one combine
+    misses = merges + len(made)
     return BuildResult(
         constraint=c,
         order=tuple(t.var for t in terms),
@@ -194,8 +262,13 @@ def build(
         level_lits=lits,
         store=store,
         root=root,
-        root_interval=root_interval,
-        intervals=intervals,
-        level_stores=tuple(levels[1:]),
-        stats=stats,
+        level_stores=tuple(levels),
+        stats=BuildStats(
+            calls=1 + 2 * misses,
+            hits=1 + misses,
+            merges=merges,
+            created=len(table) - before,
+        ),
+        root_bounds=(root_lo, root_hi),
+        made=made,
     )

@@ -12,6 +12,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .builder import NodeBudgetExceeded, level_widths
 from .robdd import reachable_nodes
@@ -29,6 +30,7 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
 NODE_BUDGET_ENV = "PBDD_NODE_BUDGET"
+CHUNKS_PER_JOB = 4
 
 
 @dataclass
@@ -130,36 +132,39 @@ def _clause_histogram(clauses) -> tuple[int, int, int]:
     return binary, ternary, other
 
 
-def _encode_standalone(method: str, c: PBConstraint, num_inputs: int,
-                       small_naive: int, node_budget: int | None):
-    """Encode one constraint against a private allocator; returns (clauses, naux)."""
+def _encode_chunk(chunk: list[PBConstraint], method: str, num_inputs: int,
+                  small_naive: int, node_budget: int | None):
+    """Encode consecutive constraints against one private allocator; returns (clauses, naux)."""
     out = ClauseSet(num_inputs=num_inputs)
-    if small_naive and len(c.terms) <= small_naive:
-        encode_small(c, out)
-    else:
-        run_pipeline(method, c, out, node_budget=node_budget)
+    for c in chunk:
+        if small_naive and len(c.terms) <= small_naive:
+            encode_small(c, out)
+        else:
+            run_pipeline(method, c, out, node_budget=node_budget)
     return out.clauses, out.next_var - num_inputs - 1
 
 
-def _encode_star(args):
-    return _encode_standalone(*args)
+def _chunks(items: list, count: int) -> list[list]:
+    """`items` cut into at most `count` contiguous runs whose lengths differ by at most one."""
+    count = min(count, len(items))
+    cuts = [len(items) * j // count for j in range(count + 1)] if count else [0]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _assemble(results, num_inputs: int) -> ClauseSet:
-    """Stitch per-constraint clause lists into one set with disjoint aux ranges."""
+    """Stitch per-chunk clause lists into one set with disjoint aux ranges."""
     out = ClauseSet(num_inputs=num_inputs)
     for clauses, naux in results:
         shift = out.next_var - 1 - num_inputs
-        for _ in range(naux):
-            out.new_var()
+        out.next_var += naux
+        if not shift:
+            out.clauses.extend(clauses)
+            continue
         for cl in clauses:
-            if shift:
-                cl = tuple(
-                    l if abs(l) <= num_inputs
-                    else (abs(l) + shift) * (1 if l > 0 else -1)
-                    for l in cl
-                )
-            out.clauses.append(cl)
+            out.clauses.append(tuple(
+                l if -num_inputs <= l <= num_inputs else (l + shift if l > 0 else l - shift)
+                for l in cl
+            ))
     return out
 
 
@@ -181,16 +186,15 @@ def _node_budget(args) -> int | None:
 
 def cmd_encode(args) -> int:
     inst, constraints = _load_constraints(args.infile)
-    budget = _node_budget(args)
-    tasks = [
-        (args.method, c, len(inst.names), args.small_naive, budget)
-        for c in constraints
-    ]
+    encode = partial(_encode_chunk, method=args.method, num_inputs=len(inst.names),
+                     small_naive=args.small_naive, node_budget=_node_budget(args))
     if args.jobs > 1:
+        # a few chunks per worker balance the load at a few round trips each
+        chunks = _chunks(constraints, CHUNKS_PER_JOB * args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_encode_star, tasks))
+            results = list(pool.map(encode, chunks))
     else:
-        results = [_encode_star(t) for t in tasks]
+        results = [encode(constraints)]
     cs = _assemble(results, len(inst.names))
     text = dimacs_text(cs, method=args.method, names=inst.names)
     if args.out:
@@ -376,6 +380,8 @@ def main(argv=None) -> int:
             parser.error("verify --max-coeff must be >= 1")
         if args.seeds < 1:
             parser.error("verify --seeds must be >= 1")
+    if args.command == "encode" and args.jobs < 1:
+        parser.error("encode --jobs must be >= 1")
     if args.command == "gen":
         if args.n < 1:
             parser.error("gen --n must be >= 1")

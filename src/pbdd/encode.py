@@ -212,16 +212,27 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
     to fixpoint; a variable on several levels may reorder the units.
     """
     nodes, var_of, top, bot = _node_vars(store, root, out)
-
-    def lit_of(child: int) -> int:
-        if child >= 2:
-            return var_of[child]
-        return top if child == TRUE_NODE else bot
+    # Propagate over dense local ids, so the engine's per-variable lists
+    # grow with the diagram rather than with `out.num_inputs`: 1..m are
+    # the nodes' variables, m+1 and m+2 the helpers, then the selectors'
+    # variables in first use.  `glob` maps a local id back.
+    m = len(nodes)
+    glob = [0, *range(top - m, bot + 1)]
+    local_of = {nid: i for i, nid in enumerate(nodes, 1)}
+    local_of[TRUE_NODE], local_of[FALSE_NODE] = m + 1, m + 2
+    sel_of: dict[int, int] = {}
 
     raw: list[list[int]] = []
     for nid in nodes:
         level, lo, hi = store.node(nid)
-        x, f, t, n = selector_lits[level - 1], lit_of(lo), lit_of(hi), var_of[nid]
+        sel = selector_lits[level - 1]
+        x = sel_of.get(abs(sel))
+        if x is None:
+            x = sel_of[abs(sel)] = len(glob)
+            glob.append(abs(sel))
+        if sel < 0:
+            x = -x
+        f, t, n = local_of[lo], local_of[hi], local_of[nid]
         raw += [
             [x, f, -n],
             [-x, t, -n],
@@ -230,7 +241,7 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
             [-x, -t, n],
             [-f, -t, n],
         ]
-    raw += [[top], [-bot], [lit_of(root)]]
+    raw += [[m + 1], [-(m + 2)], [local_of[root]]]
     out.raw_count += len(raw)
 
     engine = UnitPropagator(raw)
@@ -239,14 +250,14 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
         out.add(())
         return var_of.get(root)
     for lit in trail:
-        if abs(lit) != top and abs(lit) != bot:
-            out.add((lit,))
+        if abs(lit) != m + 1 and abs(lit) != m + 2:
+            out.add((glob[lit] if lit > 0 else -glob[-lit],))
     for cl in engine.clauses:
         pending = []
         for l in cl:
             have = values[abs(l)]
             if not have:
-                pending.append(l)
+                pending.append(glob[l] if l > 0 else -glob[-l])
             elif have == (1 if l > 0 else 2):
                 break
         else:

@@ -50,6 +50,15 @@ def _tokens_with_columns(line: str):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
+def _integer(tok: str, what: str, lineno: int, col: int) -> int:
+    if not _COEF_RE.match(tok):
+        raise OpbParseError(f"bad {what} {tok!r}", lineno, col)
+    try:
+        return int(tok)
+    except ValueError:  # longer than the interpreter's int-string digit limit
+        raise OpbParseError(f"{what} has too many digits ({len(tok)})", lineno, col) from None
+
+
 def parse_opb(text: str) -> Instance:
     """Parse OPB text into an Instance; raises OpbParseError with position."""
     inst = Instance()
@@ -78,9 +87,7 @@ def parse_opb(text: str) -> Instance:
             raise OpbParseError(f"expected comparison operator, got {op_tok!r}",
                                 lineno, op_col)
         bound_tok, bound_col = tokens[-1]
-        if not _COEF_RE.match(bound_tok):
-            raise OpbParseError(f"bad bound {bound_tok!r}", lineno, bound_col)
-        bound = int(bound_tok)
+        bound = _integer(bound_tok, "bound", lineno, bound_col)
         body = tokens[:-2]
         if len(body) % 2:
             raise OpbParseError("terms must be <coefficient> <variable> pairs",
@@ -89,11 +96,10 @@ def parse_opb(text: str) -> Instance:
         for idx in range(0, len(body), 2):
             coef_tok, coef_col = body[idx]
             var_tok, var_col = body[idx + 1]
-            if not _COEF_RE.match(coef_tok):
-                raise OpbParseError(f"bad coefficient {coef_tok!r}", lineno, coef_col)
+            coef = _integer(coef_tok, "coefficient", lineno, coef_col)
             if not _VAR_RE.match(var_tok):
                 raise OpbParseError(f"bad variable {var_tok!r}", lineno, var_col)
-            terms.append((int(coef_tok), inst.intern(var_tok)))
+            terms.append((coef, inst.intern(var_tok)))
         inst.constraints.append(RawConstraint(terms, op_tok, bound))
     return inst
 

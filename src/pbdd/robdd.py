@@ -32,18 +32,23 @@ class NodeStore:
     def __contains__(self, nid: int) -> bool:
         return 0 <= nid < len(self._nodes) + 2
 
+    def check_children(self, level: int, lo: int, hi: int) -> None:
+        """ValueError unless both children exist and lie below `level`."""
+        nodes = self._nodes
+        for child in (lo, hi):
+            if not 0 <= child < len(nodes) + 2:
+                raise ValueError(f"unknown child node {child}")
+            if child >= 2 and nodes[child - 2][0] <= level:
+                raise ValueError(
+                    f"orderedness violation: child {child} at level "
+                    f"{nodes[child - 2][0]} under level {level}"
+                )
+
     def mk_node(self, level: int, lo: int, hi: int) -> int:
         """Canonical node for `(level, lo, hi)`; returns the child when lo == hi."""
         if lo == hi:
             return lo
-        for child in (lo, hi):
-            if child not in self:
-                raise ValueError(f"unknown child node {child}")
-            if child >= 2 and self._nodes[child - 2][0] <= level:
-                raise ValueError(
-                    f"orderedness violation: child {child} at level "
-                    f"{self._nodes[child - 2][0]} under level {level}"
-                )
+        self.check_children(level, lo, hi)
         key = (level, lo, hi)
         nid = self._unique.get(key)
         if nid is None:

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -13,24 +14,25 @@ from pbdd import (
     PBConstraint,
     POS_INF,
     build,
+    decompose,
     eval_bdd,
     evaluate,
+    hosaka_family,
     level_widths,
     random_constraint,
     reachable_nodes,
+    run_pipeline,
     verify_intervals,
 )
 
-from oracles import reduced_node_count
+from oracles import cnf_model_set_matches, reduced_node_count, reference_build
 
 RUN = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)
 
 
 def fresh_store(level, suffix_sum):
-    ls = LevelStore(level)
-    ls.insert(Interval(NEG_INF, -1), FALSE_NODE)
-    ls.insert(Interval(suffix_sum, POS_INF), TRUE_NODE)
-    return ls
+    # the terminal entries (-inf, -1] and [suffix_sum, +inf) are implicit
+    return LevelStore(level, suffix_sum)
 
 
 def test_search_initialized_store():
@@ -184,3 +186,122 @@ def test_polarized_constraints_against_truth_table():
         for values in product((0, 1), repeat=n):
             a = dict(zip(range(1, n + 1), values))
             assert eval_bdd(r.store, r.root, r.level_lits, a) == evaluate(c, a)
+
+
+def assert_same_build(got, want, label):
+    """The kernel's result against the reference loop's, field by field."""
+    assert got.store._nodes == want.store._nodes, label
+    assert (got.root, got.stats, got.root_interval) == \
+        (want.root, want.stats, want.root_interval), label
+    assert (got.order, got.coefs, got.level_lits) == \
+        (want.order, want.coefs, want.level_lits), label
+    assert list(got.intervals.items()) == list(want.intervals.items()), label
+    assert [(ls.level, len(ls), ls.entries()) for ls in got.level_stores] == \
+        [(ls.level, len(ls), ls.entries()) for ls in want.level_stores], label
+
+
+def assert_same_budget_stop(c, label, order=None):
+    """Every budget around the node count stops both builds at the same node."""
+    created = reference_build(c, order).stats.created
+    for budget in sorted({0, 1, created // 2, created - 1, created}):
+        if budget < 0:
+            continue
+        stores = NodeStore(), NodeStore()
+        outcomes = []
+        for fn, store in zip((build, reference_build), stores):
+            try:
+                outcomes.append(fn(c, order, store=store, node_budget=budget).stats)
+            except NodeBudgetExceeded:
+                outcomes.append("stopped")
+        assert outcomes[0] == outcomes[1], (label, budget)
+        assert (outcomes[0] == "stopped") == (budget < created), (label, budget)
+        assert stores[0]._nodes == stores[1]._nodes, (label, budget)
+
+
+def differential_corpus():
+    rng = random.Random(17)
+    cases = [RUN, PBConstraint((), 0), PBConstraint((), -1), hosaka_family(2)]
+    for seed in range(120):
+        n = rng.randint(1, 9)
+        pairs = [(rng.randint(1, 40), v * rng.choice((1, -1))) for v in range(1, n + 1)]
+        total = sum(a for a, _ in pairs)
+        cases.append(PBConstraint.from_pairs(pairs, rng.randint(-2, total + 2)))
+        cases.append(random_constraint(seed, seed % 10 + 1, 100, "uniform"))
+    return cases
+
+
+def test_build_matches_reference_build():
+    for c in differential_corpus():
+        assert_same_build(build(c), reference_build(c), str(c))
+        d = decompose(c).decomposed
+        assert_same_build(build(d), reference_build(d), f"decomposed {c}")
+
+
+def test_build_matches_reference_with_custom_order():
+    rng = random.Random(23)
+    for c in differential_corpus()[:120]:
+        order = list(c.variables())
+        rng.shuffle(order)
+        assert_same_build(build(c, order), reference_build(c, order), (str(c), order))
+
+
+def test_build_matches_reference_on_shared_stores():
+    # one store per side across many builds: existing nodes come back from
+    # the unique table, and merged or reused nodes keep their interval order
+    mine, theirs = NodeStore(), NodeStore()
+    rng = random.Random(29)
+    coefs = [rng.randint(1, 12) for _ in range(7)]
+    cases = []
+    for _ in range(60):
+        pairs = [(a, v * rng.choice((1, -1))) for v, a in enumerate(coefs, 1)]
+        cases.append(PBConstraint.from_pairs(pairs, rng.randint(-1, sum(coefs) + 1)))
+    cases += [decompose(c).decomposed for c in differential_corpus()[:80]]
+    for c in cases:
+        assert_same_build(build(c, store=mine), reference_build(c, store=theirs), str(c))
+
+
+def test_build_budget_stops_where_reference_stops():
+    for c in differential_corpus()[:60] + [hosaka_family(2)]:
+        assert_same_budget_stop(c, str(c))
+        assert_same_budget_stop(decompose(c).decomposed, f"decomposed {c}")
+    c = hosaka_family(2)
+    assert_same_budget_stop(c, "hosaka(2) reversed", order=list(reversed(c.variables())))
+
+
+def test_build_exact_beyond_float_range():
+    # coefficients near 10**400 overflow a float; intervals must stay exact
+    rng = random.Random(37)
+    big = 10**400
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        pairs = [(big + rng.randint(0, 9) * 10**398 + rng.randint(1, 99),
+                  v * rng.choice((1, -1))) for v in range(1, n + 1)]
+        total = sum(a for a, _ in pairs)
+        bound = rng.choice((rng.randint(0, n) * big + rng.randint(-5, 5) * 10**398,
+                            total - 1, pairs[0][0], -1))
+        c = PBConstraint.from_pairs(pairs, bound)
+        r = build(c)
+        assert_same_build(r, reference_build(c), str(c))
+        assert r.root_interval.contains(c.bound)
+        assert verify_intervals(r.coefs, r.store, r.root, r.intervals) is None
+        for values in product((0, 1), repeat=n):
+            a = dict(zip(range(1, n + 1), values))
+            assert eval_bdd(r.store, r.root, r.level_lits, a) == evaluate(c, a)
+        for method in ("bdd1", "bdd2", "bdd3"):
+            out, _ = run_pipeline(method, c)
+            assert cnf_model_set_matches(c, out.clauses), (method, str(c))
+
+
+def test_level_store_terminals_are_implicit():
+    ls = build(RUN).level_stores[1]
+    assert len(ls) == len(ls.nodes) + 2 == len(ls.entries())
+    assert ls.entries()[0] == (Interval(NEG_INF, -1), FALSE_NODE)
+    assert ls.entries()[-1] == (Interval(8, POS_INF), TRUE_NODE)
+    with pytest.raises(ValueError):
+        ls.insert(Interval(NEG_INF, 2), 9)
+    with pytest.raises(ValueError):
+        ls.insert(Interval(7, POS_INF), 9)
+    with pytest.raises(ValueError):
+        ls.insert(Interval(7, 8), 9)  # reaches the TRUE entry
+    with pytest.raises(ValueError):
+        ls.insert(Interval(4, 3), 9)

@@ -93,6 +93,47 @@ def test_encode_parallel_jobs_identical_output(tmp_path):
     assert one.read_text() == two.read_text()
 
 
+@pytest.mark.parametrize("method", ["bdd1", "bdd3"])
+def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method):
+    # 31 normalized constraints: more than the 4 * 3 + 1 that would give
+    # every chunk a single constraint at --jobs 3
+    lines = []
+    for i in range(12):
+        lines.append(f"+{i + 2} x{i + 1} -{i % 4 + 1} x{i + 2} +3 x{i + 3} "
+                     f"+{i + 1} x{i + 4} >= {i % 5} ;")
+        if i % 3 == 0:
+            lines.append(f"+1 x{i + 1} +2 x{i + 5} +1 x{i + 6} = 2 ;")  # two halves
+        if i % 4 == 1:
+            lines.append(f"+1 x{i + 1} +1 x{i + 2} <= 5 ;")  # trivially true
+        if i % 4 == 2:
+            lines.append(f"+2 x{i + 3} +1 x{i + 1} <= -1 ;")  # trivially false
+        if i % 2:
+            lines.append(f"+1 x{i + 2} +4 x{i + 7} < 4 ;")  # small enough for --small-naive
+    path = tmp_path / "rows.opb"
+    path.write_text("\n".join(lines) + "\n")
+    from pbdd.cli import _load_constraints
+
+    assert len(_load_constraints(str(path))[1]) > 4 * 3 + 1
+    texts = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"j{jobs}.cnf"
+        assert main(["encode", "--method", method, "--in", str(path), "--out", str(out),
+                     "--small-naive", "3", "--jobs", jobs]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] == texts[2]
+    body = [l for l in texts[0].splitlines() if l and l[0] not in "cp"]
+    assert "0" in body  # the trivially false rows
+
+
+def test_encode_empty_input_with_jobs(tmp_path):
+    path = tmp_path / "empty.opb"
+    path.write_text("* no constraints\n")
+    out = tmp_path / "out.cnf"
+    assert main(["encode", "--method", "bdd1", "--in", str(path), "--out", str(out),
+                 "--jobs", "2"]) == 0
+    assert out.read_text().splitlines()[-1] == "p cnf 0 0"
+
+
 def test_encode_small_naive_flag(run_opb, tmp_path):
     out = tmp_path / "out.cnf"
     main(["encode", "--method", "bdd1", "--in", run_opb, "--out", str(out),
@@ -179,6 +220,10 @@ def test_exit_codes(tmp_path):
     assert code == 3 and "objective" in err
     code, _, _ = run_cli(["encode", "--method", "nope", "--in", str(bad)])
     assert code == 2
+    huge = tmp_path / "huge.opb"
+    huge.write_text(f"+{'7' * 5001} x1 +1 x2 <= 3 ;\n")
+    code, _, err = run_cli(["encode", "--method", "bdd1", "--in", str(huge)])
+    assert code == 3 and "line 1, column 1" in err and "Traceback" not in err
     big = tmp_path / "big.opb"
     big.write_text("+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n")
     code, _, err = run_cli(["encode", "--method", "bdd1", "--in", str(big),
@@ -210,6 +255,8 @@ def test_node_budget_env_override(tmp_path):
     ["gen", "--family", "bailleux", "--n", "6", "--a", "10", "--b", "2"],
     ["verify", "--method", "bdd1", "--seeds", "-2"],
     ["verify", "--method", "bdd1", "--seeds", "0"],
+    ["encode", "--method", "bdd1", "--in", "any.opb", "--jobs", "0"],
+    ["encode", "--method", "bdd1", "--in", "any.opb", "--jobs", "-2"],
 ])
 def test_bad_numeric_arguments_are_usage_errors(args):
     code, out, err = run_cli(args)

@@ -284,7 +284,7 @@ def test_clause_set_checks_survive_optimize_flag():
         "    cs.add([1, -1])\n"
         "except ValueError:\n"
         "    print('refused')\n"
-        "ls = LevelStore(1)\n"
+        "ls = LevelStore(1, 10)\n"
         "ls.insert(Interval(0, 4), 7)\n"
         "try:\n"
         "    ls.insert(Interval(3, 6), 8)\n"

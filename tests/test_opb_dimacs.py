@@ -1,12 +1,15 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbdd import (
     ClauseSet,
     Instance,
     OpbParseError,
     PBConstraint,
+    RawConstraint,
     dimacs_text,
     normalize,
     parse_opb,
@@ -52,6 +55,8 @@ def test_parse_errors_carry_position():
     assert err.value.col == 4
     with pytest.raises(OpbParseError):
         parse_opb("+2 x1 != 6 ;\n")
+    with pytest.raises(OpbParseError, match="bad coefficient"):
+        parse_opb("+1_0 x1 <= 6 ;\n")
 
 
 def test_parse_ids_dense_in_first_appearance_order():
@@ -65,6 +70,64 @@ def test_parse_accepts_attached_semicolon_and_negatives():
     inst = parse_opb("-2 x1 +3 x2 < -1;\n")
     raw = inst.constraints[0]
     assert raw.terms == [(-2, 1), (3, 2)] and raw.op == "<" and raw.bound == -1
+
+
+def test_parse_rejects_integers_over_the_digit_limit():
+    # int() refuses strings past the interpreter's digit limit (4300 by default)
+    digits = "7" * 5001
+    with pytest.raises(OpbParseError) as err:
+        parse_opb(f"+1 x1 +{digits} x2 <= 3 ;\n")
+    assert (err.value.line, err.value.col) == (1, 7)
+    with pytest.raises(OpbParseError) as err:
+        parse_opb(f"* c\n+1 x1 >= -{digits} ;\n")
+    assert (err.value.line, err.value.col) == (2, 10)
+    assert parse_opb(f"+{'7' * 4000} x1 <= 3 ;").constraints[0].terms[0][0] == int("7" * 4000)
+
+
+OPB_TOKENS = st.sampled_from([
+    "+1", "-2", "3", "+", "-", "007", "x1", "x2", "x0", "~x1", "y", ";", "1;", "x1;",
+    "<=", ">=", "=", "<", ">", "!=", "min:", "max:", "*", "\u0663", "x\u0663", "1e3",
+    "9" * 4400,
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.lists(OPB_TOKENS, max_size=8).map(" ".join), max_size=5).map("\n".join),
+    st.lists(st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x85\u2028\u3000;*x1+-=<>",
+                     max_size=12), max_size=4).map("\n".join),
+))
+def test_hypothesis_parser_raises_only_parse_errors(text):
+    try:
+        parse_opb(text)
+    except OpbParseError:
+        pass
+
+
+RAW_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 6)), max_size=6),
+        st.sampled_from(["<=", ">=", "=", "<", ">"]),
+        st.integers(-(10**40), 10**40),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_ROWS, st.lists(st.integers(0, 10**6), min_size=6, max_size=6, unique=True))
+def test_hypothesis_write_parse_roundtrip(rows, labels):
+    # ids are dense in first-appearance order, as parse_opb assigns them
+    dense: dict[int, int] = {}
+    raws = []
+    for terms, op, bound in rows:
+        terms = [(a, dense.setdefault(v, len(dense) + 1)) for a, v in terms]
+        raws.append(RawConstraint(terms, op, bound))
+    names = [f"x{k}" for k in labels[:len(dense)]]
+    inst = parse_opb(write_opb(raws, names=names, header=["round trip"]))
+    assert inst.names == names
+    assert inst.constraints == raws
 
 
 def test_opb_roundtrip():

@@ -233,3 +233,21 @@ def test_ite6_random_diagrams_match_reference(repeat_vars):
         assert got.clauses[units:] == want.clauses[units:]
         assert (got.raw_count, got.next_var) == (want.raw_count, want.next_var)
 
+
+
+def test_ite6_with_a_million_inputs_matches_reference():
+    # the propagation runs on the diagram's own variables, so inputs far
+    # above the diagram's and aux ids above 10**6 must not change the output
+    rng = random.Random(41)
+    num_inputs = 10**6
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        variables = rng.sample(range(1, num_inputs + 1), n)
+        pairs = [(rng.randint(1, 30), v * rng.choice((1, -1))) for v in variables]
+        c = PBConstraint.from_pairs(pairs, rng.randint(-1, sum(a for a, _ in pairs)))
+        r = build(c)
+        got, want = ClauseSet(num_inputs=num_inputs), ClauseSet(num_inputs=num_inputs)
+        roots = (encode.encode_ite6(r.store, r.root, r.level_lits, got),
+                 reference_encode_ite6(r.store, r.root, r.level_lits, want))
+        assert roots[0] == roots[1]
+        assert_same_output(got, want, str(c))
