@@ -188,8 +188,10 @@ def cmd_encode(args) -> int:
     inst, constraints = _load_constraints(args.infile)
     encode = partial(_encode_chunk, method=args.method, num_inputs=len(inst.names),
                      small_naive=args.small_naive, node_budget=_node_budget(args))
-    if args.jobs > 1:
-        # a few chunks per worker balance the load at a few round trips each
+    if args.jobs > 1 and len(constraints) >= CHUNKS_PER_JOB * args.jobs:
+        # a few chunks per worker balance the load at a few round trips each;
+        # with fewer constraints each chunk is one of them and the largest
+        # sets the wall time, so the pool's start-up is not repaid
         chunks = _chunks(constraints, CHUNKS_PER_JOB * args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(encode, chunks))
@@ -334,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encode constraints with <= N variables by direct "
                         "clause enumeration instead of a diagram (0 = never)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="encode constraints in parallel worker processes")
+                   help="encode constraints in parallel worker processes "
+                        f"(in-process below {CHUNKS_PER_JOB} constraints per job)")
     add_budget(p)
     p.set_defaults(func=cmd_encode)
 

@@ -17,7 +17,9 @@ def dimacs_text(
 
     Comment lines record the encoding method, the corpus seed if any, and
     one `c map <name> = <cnfvar>` line per input variable.  Output is
-    byte-identical across runs for the same input.
+    byte-identical across runs for the same input.  Each clause (a tuple
+    of ints, as `ClauseSet` holds them) is formatted with one `%d`
+    template per clause length.
     """
     lines = []
     if method is not None:
@@ -28,8 +30,13 @@ def dimacs_text(
         name = names[v - 1] if names else f"x{v}"
         lines.append(f"c map {name} = {v}")
     lines.append(f"p cnf {cs.max_var} {len(cs.clauses)}")
+    append = lines.append
+    template = {}  # clause length -> "%d %d ... 0"
     for cl in cs.clauses:
-        lines.append(" ".join(str(l) for l in cl) + (" 0" if cl else "0"))
+        fmt = template.get(len(cl))
+        if fmt is None:
+            fmt = template[len(cl)] = "%d " * len(cl) + "0"
+        append(fmt % cl)
     return "\n".join(lines) + "\n"
 
 

@@ -57,7 +57,13 @@ class ClauseSet:
         return v
 
     def add(self, lits) -> Clause:
-        """Append `lits` without duplicates; ValueError on complementary or unallocated literals."""
+        """Append `lits` without duplicates; ValueError on complementary or unallocated literals.
+
+        `encode_small`, `encode_ite6`, the trivial and bdd3 per-literal
+        clauses of `run_pipeline`, and library callers go through here.
+        `encode_monotone` checks its input literals once per diagram
+        instead and appends to `clauses` directly.
+        """
         seen = dict.fromkeys(lits)
         clause = tuple(seen)
         for l in clause:
@@ -119,8 +125,18 @@ def decompose(c: PBConstraint) -> Decomposition:
 def _node_vars(store: NodeStore, root: int, out: ClauseSet):
     """Reachable nodes in id order, their auxiliary variables, TRUE and FALSE helper ids."""
     nodes = reachable_nodes(store, root)
-    var_of = {nid: out.new_var() for nid in nodes}
-    return nodes, var_of, out.new_var(), out.new_var()
+    first = out.next_var
+    top = first + len(nodes)
+    out.next_var = top + 2
+    return nodes, dict(zip(nodes, range(first, top))), top, top + 1
+
+
+def _check_input_literals(lits, num_inputs: int, what: str) -> None:
+    """ValueError unless every literal is nonzero with its variable in 1..num_inputs."""
+    for lit in lits:
+        if not 0 < abs(lit) <= num_inputs:
+            raise ValueError(f"{what} {lit} is not a literal of an input variable "
+                             f"1..{num_inputs}")
 
 
 def encode_monotone(
@@ -149,54 +165,66 @@ def encode_monotone(
     order, without those a unit satisfies and without negated chain nodes.
     This is the rescan-to-fixpoint simplification of the raw clauses with
     two terminal helpers, whose count goes to `out.raw_count`.
+
+    The selector literals and `implied_lit` must be nonzero with their
+    variables in 1..`out.num_inputs` (ValueError), checked once per
+    diagram; the clauses then go straight into `out.clauses`.  A clause
+    holds at most one input literal plus distinct fresh auxiliary
+    variables, so it can neither repeat a variable nor hold a
+    complementary pair, and `ClauseSet.add` would pass it unchanged.
     """
     if root_mode == "implies" and implied_lit is None:
         raise ValueError("root_mode='implies' needs implied_lit")
     if root_mode not in ("unit", "implies", "consistency"):
         raise ValueError(f"unknown root_mode {root_mode!r}")
+    _check_input_literals(selector_lits, out.num_inputs, "selector literal")
+    if root_mode == "implies":
+        _check_input_literals((implied_lit,), out.num_inputs, "implied_lit")
     nodes, var_of, _, _ = _node_vars(store, root, out)
     out.raw_count += 2 * len(nodes) + 2 + (root_mode != "consistency")
+    append = out.clauses.append
     if root < 2:
         if root == FALSE_NODE and root_mode == "unit":
-            out.add(())
+            append(())
         elif root == FALSE_NODE and root_mode == "implies":
-            out.add((-implied_lit,))
+            append((-implied_lit,))
         return None
 
+    table = store._nodes
     chain: set[int] = set()
     forced: set[int] = set()
     if root_mode == "unit":
-        out.add((var_of[root],))
+        append((var_of[root],))
         nid = root
         while nid >= 2:
             chain.add(nid)
-            level, lo, hi = store.node(nid)
+            level, lo, hi = table[nid - 2]
             if lo >= 2:
-                out.add((var_of[lo],))
+                append((var_of[lo],))
             nx = -selector_lits[level - 1]
             if hi == FALSE_NODE and nx not in forced:
                 forced.add(nx)
-                out.add((nx,))
+                append((nx,))
             nid = lo
 
     for nid in nodes:
-        level, lo, hi = store.node(nid)
+        level, lo, hi = table[nid - 2]
         if lo == FALSE_NODE or hi == TRUE_NODE:
             raise ValueError(f"node {nid} is not monotone decreasing")
         n = var_of[nid]
         nx = -selector_lits[level - 1]
         if lo != TRUE_NODE and lo not in chain:
-            out.add((var_of[lo], -n))
+            append((var_of[lo], -n))
         # hi is never a chain node: that all-false restriction bounds lo
         # from above and hi <= lo, so lo would equal hi
         if nx in forced:
             continue
         if hi == FALSE_NODE:
-            out.add((nx, -n))
+            append((nx, -n))
         else:
-            out.add((var_of[hi], nx) if nid in chain else (var_of[hi], nx, -n))
+            append((var_of[hi], nx) if nid in chain else (var_of[hi], nx, -n))
     if root_mode == "implies":
-        out.add((var_of[root], -implied_lit))
+        append((var_of[root], -implied_lit))
     return var_of[root]
 
 

@@ -1,8 +1,9 @@
 """Reading and writing the OPB pseudo-Boolean exchange format.
 
 Only the decision fragment is supported: `*` comment lines and constraint
-lines of the form `[+|-]<int> x<idx> ... <op> <int> ;`.  Objective lines
-are rejected with a clear message.
+lines of the form `[+|-]<int> [~]x<idx> ... <op> <int> ;`.  A negated
+literal `a ~x` is read as `-a x` with `a` subtracted from the bound
+(a·¬x = a - a·x).  Objective lines are rejected with a clear message.
 """
 
 from __future__ import annotations
@@ -97,9 +98,15 @@ def parse_opb(text: str) -> Instance:
             coef_tok, coef_col = body[idx]
             var_tok, var_col = body[idx + 1]
             coef = _integer(coef_tok, "coefficient", lineno, coef_col)
-            if not _VAR_RE.match(var_tok):
+            negated = var_tok.startswith("~")
+            name = var_tok[1:] if negated else var_tok
+            if not _VAR_RE.match(name):
                 raise OpbParseError(f"bad variable {var_tok!r}", lineno, var_col)
-            terms.append((coef, inst.intern(var_tok)))
+            if negated:
+                terms.append((-coef, inst.intern(name)))
+                bound -= coef
+            else:
+                terms.append((coef, inst.intern(name)))
         inst.constraints.append(RawConstraint(terms, op_tok, bound))
     return inst
 

@@ -98,18 +98,28 @@ def eval_bdd(
 
 
 def reachable_nodes(store: NodeStore, root: int) -> list[int]:
-    """Decision nodes reachable from `root`, in creation (id) order."""
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid < 2 or nid in seen:
-            continue
-        seen.add(nid)
-        _, lo, hi = store.node(nid)
-        stack.append(lo)
-        stack.append(hi)
-    return sorted(seen)
+    """Decision nodes reachable from `root`, in creation (id) order.
+
+    One downward sweep over ids: a node's children are created before it
+    (`mk_node` and the builder accept a node only after `check_children`
+    has found both children in the store), so every child id is below
+    its parent's.  Walking from `root` down to 2, a node is reached
+    exactly when it was marked by a reached parent before the walk gets
+    to it, and it then marks its own children.
+    """
+    if root < 2:
+        return []
+    table = store._nodes
+    mark = bytearray(root + 1)
+    mark[root] = 1
+    found = []
+    for nid in range(root, 1, -1):
+        if mark[nid]:
+            found.append(nid)
+            _, lo, hi = table[nid - 2]
+            mark[lo] = mark[hi] = 1
+    found.reverse()
+    return found
 
 
 def count_nodes(store: NodeStore, root: int) -> int:

@@ -5,7 +5,9 @@ style, models come from exhaustive evaluation, satisfiability checks are
 a tiny self-contained DPLL, and propagation results can be replayed
 against the clause list to validate conflict claims.  The reference
 emitters are the original raw emission of `pbdd.encode` followed by a
-rescan-to-fixpoint unit simplification.  The enumerating
+rescan-to-fixpoint unit simplification, over the nodes found by the
+previous depth-first `reachable_nodes` (`reference_reachable_nodes`).
+The enumerating
 property checkers at the end are the previous implementations of
 `pbdd.verify`'s checkers; they use only `UnitPropagator.run`, which
 propagates every assignment from scratch.  `reference_build` is the
@@ -24,7 +26,7 @@ from pbdd.builder import BuildStats, NodeBudgetExceeded
 from pbdd.constraints import PBConstraint, evaluate
 from pbdd.intervals import Interval, NEG_INF, POS_INF
 from pbdd.propagate import CONFLICT, UnitPropagator
-from pbdd.robdd import NodeStore, TRUE_NODE, reachable_nodes
+from pbdd.robdd import NodeStore, TRUE_NODE
 from pbdd.verify import DEFAULT_ENUM_LIMIT, DEFAULT_EXTEND_LIMIT, Counterexample
 
 
@@ -231,6 +233,21 @@ def unit_simplify_fixpoint(raw: list[list[int]], fixed: dict[int, bool]) -> list
     return out
 
 
+def reference_reachable_nodes(store, root) -> list[int]:
+    """Decision nodes reachable from `root` by depth-first search, sorted by id."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        nid = stack.pop()
+        if nid < 2 or nid in seen:
+            continue
+        seen.add(nid)
+        _, lo, hi = store.node(nid)
+        stack.append(lo)
+        stack.append(hi)
+    return sorted(seen)
+
+
 def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit):
     """The original emitter: raw clauses with two terminal helpers, then simplified.
 
@@ -239,7 +256,7 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
     node, the helper units and the root clause, counts them into
     `out.raw_count`, and adds the `unit_simplify_fixpoint` result to `out`.
     """
-    nodes = reachable_nodes(store, root)
+    nodes = reference_reachable_nodes(store, root)
     var_of = {nid: out.new_var() for nid in nodes}
     top = out.new_var()
     bot = out.new_var()

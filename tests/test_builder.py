@@ -25,7 +25,12 @@ from pbdd import (
     verify_intervals,
 )
 
-from oracles import cnf_model_set_matches, reduced_node_count, reference_build
+from oracles import (
+    cnf_model_set_matches,
+    reduced_node_count,
+    reference_build,
+    reference_reachable_nodes,
+)
 
 RUN = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)
 
@@ -258,6 +263,30 @@ def test_build_matches_reference_on_shared_stores():
     cases += [decompose(c).decomposed for c in differential_corpus()[:80]]
     for c in cases:
         assert_same_build(build(c, store=mine), reference_build(c, store=theirs), str(c))
+
+
+def test_reachable_sweep_matches_depth_first_search():
+    # the id sweep relies on every child id lying below its parent's
+    empty = NodeStore()
+    for root in (FALSE_NODE, TRUE_NODE):
+        assert reachable_nodes(empty, root) == reference_reachable_nodes(empty, root) == []
+    for c in differential_corpus() + [hosaka_family(2)]:
+        for r in (build(c), build(decompose(c).decomposed)):
+            assert reachable_nodes(r.store, r.root) == \
+                reference_reachable_nodes(r.store, r.root), str(c)
+    # shared store: most roots reach only part of the store below them
+    shared = NodeStore()
+    rng = random.Random(29)
+    coefs = [rng.randint(1, 12) for _ in range(7)]
+    cases = []
+    for _ in range(60):
+        pairs = [(a, v * rng.choice((1, -1))) for v, a in enumerate(coefs, 1)]
+        cases.append(PBConstraint.from_pairs(pairs, rng.randint(-1, sum(coefs) + 1)))
+    cases += [decompose(c).decomposed for c in differential_corpus()[:80]]
+    roots = [build(c, store=shared).root for c in cases]
+    assert len(roots) == 140
+    for root in roots + [FALSE_NODE, TRUE_NODE] + list(range(2, len(shared) + 2, 7)):
+        assert reachable_nodes(shared, root) == reference_reachable_nodes(shared, root), root
 
 
 def test_build_budget_stops_where_reference_stops():

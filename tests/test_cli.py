@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -81,16 +82,29 @@ def test_encode_multi_constraint_disjoint_aux_ranges(tmp_path):
     assert len(body) == 5 + 3 + 3  # running constraint + two cardinality halves
 
 
-def test_encode_parallel_jobs_identical_output(tmp_path):
-    path = tmp_path / "many.opb"
-    lines = [f"+{i + 1} x1 +{i + 2} x2 +{i + 3} x3 <= {2 * i + 3} ;" for i in range(6)]
-    path.write_text("\n".join(lines) + "\n")
-    one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
-    assert main(["encode", "--method", "bdd2", "--in", str(path),
-                 "--out", str(one)]) == 0
-    assert main(["encode", "--method", "bdd2", "--in", str(path),
-                 "--out", str(two), "--jobs", "2"]) == 0
-    assert one.read_text() == two.read_text()
+def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch):
+    # the pool starts only with at least CHUNKS_PER_JOB (4) constraints per job
+    import pbdd.cli
+
+    pools = []
+
+    def recording_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(pbdd.cli, "ProcessPoolExecutor", recording_pool)
+    for rows, jobs, want_pools in ((6, "2", []), (7, "2", []), (8, "2", [2]), (11, "3", [])):
+        path = tmp_path / "many.opb"
+        lines = [f"+{i + 1} x1 +{i + 2} x2 +{i + 3} x3 <= {2 * i + 3} ;" for i in range(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
+        assert main(["encode", "--method", "bdd2", "--in", str(path),
+                     "--out", str(one)]) == 0
+        pools.clear()
+        assert main(["encode", "--method", "bdd2", "--in", str(path),
+                     "--out", str(two), "--jobs", jobs]) == 0
+        assert pools == want_pools, (rows, jobs)
+        assert one.read_text() == two.read_text()
 
 
 @pytest.mark.parametrize("method", ["bdd1", "bdd3"])

@@ -278,12 +278,22 @@ def test_clause_set_checks_survive_optimize_flag():
     # the checks raise rather than assert, so `python -O` keeps them
     code = (
         "from pbdd import (Assignment, ClauseSet, Interval, LevelStore, NEG_INF,\n"
-        "                  POS_INF, combine_child_intervals)\n"
+        "                  NodeStore, POS_INF, combine_child_intervals, encode_monotone)\n"
         "cs = ClauseSet(num_inputs=2)\n"
         "try:\n"
         "    cs.add([1, -1])\n"
         "except ValueError:\n"
         "    print('refused')\n"
+        "store = NodeStore()\n"
+        "root = store.mk_node(2, store.mk_node(3, 1, 0), 0)\n"
+        "for sel, mode, implied in (((1, 2, 3), 'implies', -3), ((1, 0, 2), 'unit', None),\n"
+        "                           ((1, 4, 2), 'unit', None), ((1, -5, 2), 'consistency', None),\n"
+        "                           ((1, 2, 3), 'implies', 0), ((1, 2, 3), 'implies', -4)):\n"
+        "    try:\n"
+        "        encode_monotone(store, root, sel, ClauseSet(num_inputs=3), mode, implied)\n"
+        "        print('accepted')\n"
+        "    except ValueError:\n"
+        "        print('selector refused')\n"
         "ls = LevelStore(1, 10)\n"
         "ls.insert(Interval(0, 4), 7)\n"
         "try:\n"
@@ -310,8 +320,8 @@ def test_clause_set_checks_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "refused", "overlap refused", "inconsistent children refused",
-        "reassignment refused", "opposite infinities refused"]
+        "refused", "accepted", *["selector refused"] * 5, "overlap refused",
+        "inconsistent children refused", "reassignment refused", "opposite infinities refused"]
 
 
 def test_count_regression_bounds():

@@ -1,4 +1,5 @@
 import io
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,13 @@ from pbdd import (
     PBConstraint,
     RawConstraint,
     dimacs_text,
+    encode_small,
+    evaluate,
     normalize,
     parse_opb,
     pipeline_bdd1,
+    pipeline_bdd3,
+    pipeline_ite6,
     write_dimacs,
     write_opb,
 )
@@ -84,6 +89,41 @@ def test_parse_rejects_integers_over_the_digit_limit():
     assert parse_opb(f"+{'7' * 4000} x1 <= 3 ;").constraints[0].terms[0][0] == int("7" * 4000)
 
 
+ROW_OPS = {
+    "<=": lambda lhs, b: lhs <= b, ">=": lambda lhs, b: lhs >= b,
+    "=": lambda lhs, b: lhs == b, "<": lambda lhs, b: lhs < b, ">": lambda lhs, b: lhs > b,
+}
+
+
+@pytest.mark.parametrize("op", ["=", "<", ">=", "<=", ">"])
+def test_parse_negated_literals(op):
+    # a*~x reads as -a*x with a taken off the bound; x1 appears in both polarities
+    row = [(3, "~x1"), (-2, "x2"), (4, "~x3"), (1, "x1"), (-5, "~x4")]
+    for bound in (-4, -1, 0, 2, 3, 5):
+        text = " ".join(f"{a:+d} {name}" for a, name in row) + f" {op} {bound} ;\n"
+        inst = parse_opb(text)
+        assert inst.names == ["x1", "x2", "x3", "x4"]
+        raw = inst.constraints[0]
+        assert raw.terms == [(-3, 1), (-2, 2), (-4, 3), (1, 1), (5, 4)]
+        assert raw.bound == bound - 3 - 4 + 5
+        parts = normalize(raw)
+        for values in product((0, 1), repeat=4):
+            a = dict(zip((1, 2, 3, 4), values))
+            lhs = sum(coef * (1 - a[int(name[2:])] if name[0] == "~" else a[int(name[1:])])
+                      for coef, name in row)
+            want = ROW_OPS[op](lhs, bound)
+            assert all(evaluate(c, a) for c in parts) == want, (text, values)
+        back = parse_opb(write_opb(inst.constraints, names=inst.names))
+        assert back.constraints == inst.constraints
+
+
+def test_parse_rejects_malformed_negations():
+    for tok, col in (("~~x1", 4), ("~y1", 4), ("~", 4), ("x~1", 4)):
+        with pytest.raises(OpbParseError, match="bad variable") as err:
+            parse_opb(f"+2 {tok} <= 1 ;\n")
+        assert err.value.col == col
+
+
 OPB_TOKENS = st.sampled_from([
     "+1", "-2", "3", "+", "-", "007", "x1", "x2", "x0", "~x1", "y", ";", "1;", "x1;",
     "<=", ">=", "=", "<", ">", "!=", "min:", "max:", "*", "\u0663", "x\u0663", "1e3",
@@ -148,6 +188,39 @@ def test_dimacs_single_empty_clause():
     cs = ClauseSet(num_inputs=1)
     cs.add(())
     assert dimacs_text(cs) == "c map x1 = 1\np cnf 1 1\n0\n"
+
+
+def per_literal_dimacs(cs, method=None, names=None):
+    """The writer as it was: one str() per literal, joined per clause."""
+    lines = [] if method is None else [f"c method {method}"]
+    for v in range(1, cs.num_inputs + 1):
+        lines.append(f"c map {names[v - 1] if names else f'x{v}'} = {v}")
+    lines.append(f"p cnf {cs.max_var} {len(cs.clauses)}")
+    for cl in cs.clauses:
+        lines.append(" ".join(str(l) for l in cl) + (" 0" if cl else "0"))
+    return "\n".join(lines) + "\n"
+
+
+def test_dimacs_templates_match_per_literal_join():
+    cs = ClauseSet(num_inputs=12_345)
+    for _ in range(20):
+        cs.new_var()
+    for cl in [(), (7,), (-1, 12_345), (10_000, -9_999, 12_346),
+               (-12_365, 2, -3, 4), (1, -22, 333, -4_444, 12_000)]:
+        cs.add(cl)
+    # encode_small writes one clause per minimal over-budget subset: lengths 4 and 5 here
+    encode_small(PBConstraint.from_pairs(
+        [(1, 10_001), (1, -12_345), (1, 10_500), (1, -3), (1, 9_999)], 3), cs)
+    encode_small(PBConstraint.from_pairs(
+        [(2, -11_111), (2, 10_002), (2, 4), (2, -12_000), (3, 5)], 9), cs)
+    pipeline_ite6(PBConstraint.from_pairs([(3, -10_010), (5, 12_001), (4, 7)], 6), cs)
+    pipeline_bdd3(PBConstraint.from_pairs([(3, 10_020), (5, -12_002), (4, 8)], 6), cs)
+    assert {len(cl) for cl in cs.clauses} >= {0, 1, 2, 3, 4, 5}
+    assert any(l < -9_999 for cl in cs.clauses for l in cl)
+    names = [f"v{v}" for v in range(1, cs.num_inputs + 1)]
+    assert dimacs_text(cs, method="bdd3", names=names) == \
+        per_literal_dimacs(cs, method="bdd3", names=names)
+    assert dimacs_text(cs) == per_literal_dimacs(cs)
 
 
 def test_dimacs_running_example_golden():
