@@ -15,6 +15,18 @@ arithmetic, so coefficients of any size stay exact.  Nodes are added
 straight to the `NodeStore`'s table.  `Interval` objects are made only
 when asked for: `BuildResult.root_interval`/`intervals` and
 `LevelStore.entries`/`search`.
+
+A level store depends only on the coefficient suffix a_i..a_n: its `top`
+is the suffix sum, and the sub-diagram for a bound at level i depends on
+nothing else.  `build` therefore interns each suffix bottom-up as
+(coefficient, level store of the shorter suffix), one dict lookup per
+level.  A `NodeStore` with a frame depth N keeps those level stores, so
+its builds reuse each other's entries wherever their suffixes match.  Its
+levels are bottom-aligned: a build of n levels puts its nodes on store
+levels N-n+1..N, so a node's level records its height, and nodes are
+shared between builds of different lengths.  Node identity stays
+(level, lo, hi), independent of the coefficients.  Without a frame depth
+each build has private level stores on levels 1..n.
 """
 
 from __future__ import annotations
@@ -109,11 +121,14 @@ class BuildResult:
     level_lits: tuple[int, ...]     # signed input literal per level
     store: NodeStore
     root: int
-    level_stores: tuple[LevelStore, ...]
+    level_stores: tuple[LevelStore, ...]  # levels 1..n+1, shared in a framed store
     stats: BuildStats
     root_bounds: tuple[int | None, int | None] = field(repr=False)
     # (lo, hi, node) per node-making step, in construction order
     made: list[tuple[int, int, int]] = field(repr=False)
+    # store level of build level i is i + offset; `eval_bdd` and `to_dot`
+    # index store levels, so give them `level_lits` behind `offset` fillers
+    offset: int = 0
 
     @property
     def levels(self) -> int:
@@ -131,15 +146,16 @@ class BuildResult:
 
     @cached_property
     def intervals(self) -> dict[int, Interval]:
-        """Interval per created node, at its own selector level, in creation order."""
+        """Interval per node made by this build, at its own selector level, in creation order."""
         return {node: Interval(lo, hi) for lo, hi, node in self.made}
 
 
 def level_widths(result: BuildResult) -> list[int]:
-    """Reachable decision nodes per level, index 0 = level 1."""
+    """Reachable decision nodes per build level, index 0 = level 1."""
     widths = [0] * result.levels
+    first = result.offset + 1
     for nid in reachable_nodes(result.store, result.root):
-        widths[result.store.node(nid)[0] - 1] += 1
+        widths[result.store.node(nid)[0] - first] += 1
     return widths
 
 
@@ -155,9 +171,11 @@ def build(
     `order` permutes the constraint's variables (default: term order).
     The hi edge of every node means "this level's literal is true"; a
     negated literal simply flips which variable value that is.  Sharing a
-    `store` across builds makes equal functions come out as equal roots.
-    Raises NodeBudgetExceeded when more than `node_budget` fresh nodes
-    would be created.
+    `store` across builds makes equal functions come out as equal roots;
+    a store with a frame depth also shares its level stores (module
+    docstring), and the result's `offset` maps its store levels back to
+    build levels.  Raises NodeBudgetExceeded when more than `node_budget`
+    fresh nodes would be created.
     """
     terms = c.terms
     if order is not None:
@@ -170,13 +188,31 @@ def build(
     n = len(terms)
     if store is None:
         store = NodeStore()
+    depth = store.depth
+    if depth is None:
+        depth, suffixes = n, {}
+    elif n > depth:
+        raise ValueError(f"a build of {n} levels exceeds the store's frame depth {depth}")
+    else:
+        suffixes = store.suffixes
+    offset = depth - n
 
-    # suffix[i] = a_i + ... + a_n  (1-based; suffix[n+1] = 0)
-    suffix = [0] * (n + 2)
+    # levels[i-1] serves the suffix a_i..a_n (levels[n] the empty one),
+    # interned bottom-up as (a_i, level store of a_(i+1)..a_n)
+    below = suffixes.get(None)
+    if below is None:
+        below = suffixes[None] = LevelStore(depth + 1, 0)
+    levels = [below]
     for i in range(n, 0, -1):
-        suffix[i] = suffix[i + 1] + coefs[i - 1]
+        a = coefs[i - 1]
+        ls = suffixes.get((a, below))
+        if ls is None:
+            ls = suffixes[a, below] = LevelStore(offset + i, below.top + a)
+        levels.append(ls)
+        below = ls
+    levels.reverse()
+    suffix = [0, *(ls.top for ls in levels)]  # suffix[i] = a_i + ... + a_n
     coef_at = (0, *coefs)
-    levels = [LevelStore(i, suffix[i]) for i in range(1, n + 2)]
     lows_at = [None, *(ls.lows for ls in levels)]
     his_at = [None, *(ls.his for ls in levels)]
     nodes_at = [None, *(ls.nodes for ls in levels)]
@@ -208,15 +244,15 @@ def build(
             if f_lo == t_lo and f_hi == t_hi:
                 merges += 1
                 if t_node < 2:
-                    raise ValueError(f"both children at level {i} are one terminal")
+                    raise ValueError(f"both children at level {i + offset} are one terminal")
                 lo, hi, node = entry = (t_lo + a, t_hi, t_node)
             else:
                 node = f_node
                 if f_node != t_node:
-                    key = (i, f_node, t_node)
+                    key = (i + offset, f_node, t_node)
                     node = unique.get(key)
                     if node is None:
-                        store.check_children(i, f_node, t_node)
+                        store.check_children(i + offset, f_node, t_node)
                         table.append(key)
                         node = len(table) + 1
                         unique[key] = node
@@ -231,7 +267,7 @@ def build(
                 entry = (lo, hi, node)
                 made.append(entry)
             if not lo <= hi:
-                raise ValueError(f"empty interval [{lo}, {hi}] for a node at level {i}")
+                raise ValueError(f"empty interval [{lo}, {hi}] for a node at level {i + offset}")
             levels[i - 1]._put(idx, lo, hi, node)
             results.append(entry)
             continue
@@ -271,4 +307,5 @@ def build(
         ),
         root_bounds=(root_lo, root_hi),
         made=made,
+        offset=offset,
     )

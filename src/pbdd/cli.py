@@ -7,10 +7,10 @@ input error, 4 node budget exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -185,6 +185,17 @@ def _node_budget(args) -> int | None:
 
 
 def cmd_encode(args) -> int:
+    # The encode allocates only acyclic tuples and lists, which reference
+    # counting frees; the cyclic collector would only rescan the growing
+    # clause list.  Forked workers inherit the pause.
+    gc.disable()
+    try:
+        return _encode_file(args)
+    finally:
+        gc.enable()
+
+
+def _encode_file(args) -> int:
     inst, constraints = _load_constraints(args.infile)
     encode = partial(_encode_chunk, method=args.method, num_inputs=len(inst.names),
                      small_naive=args.small_naive, node_budget=_node_budget(args))
@@ -192,6 +203,8 @@ def cmd_encode(args) -> int:
         # a few chunks per worker balance the load at a few round trips each;
         # with fewer constraints each chunk is one of them and the largest
         # sets the wall time, so the pool's start-up is not repaid
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
+
         chunks = _chunks(constraints, CHUNKS_PER_JOB * args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(encode, chunks))
@@ -324,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--node-budget", type=int, default=None,
-                       help=f"abort builds above this many nodes "
-                            f"(env {NODE_BUDGET_ENV})")
+                       help=f"abort when a constraint's diagrams need more than "
+                            f"this many nodes (env {NODE_BUDGET_ENV})")
 
     p = sub.add_parser("encode", help="encode an OPB file to DIMACS CNF")
     p.add_argument("--method", choices=PIPELINES, required=True)

@@ -8,7 +8,8 @@ ternary clause) and differ in what diagram they encode:
          variable substituted by its original literal (consistent, not
          arc-consistent);
   bdd3 - one decomposed, consistency-mode encoding per input literal fixed
-         true, wired back with a binary clause per literal (arc-consistent).
+         true, wired back with a binary clause per literal (arc-consistent);
+         the per-literal builds share one node store per constraint.
 
 `encode_monotone` serves all three.  For a reduced monotone diagram it
 knows the unit-simplified result of its raw clauses without propagating:
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builder import BuildResult, build
+from .builder import BuildResult, NodeBudgetExceeded, build
 from .constraints import PBConstraint, Term
 from .propagate import CONFLICT, UnitPropagator
 from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
@@ -39,8 +40,8 @@ class ClauseSet:
     """CNF under construction: clauses plus a monotone variable allocator.
 
     Input variables occupy 1..num_inputs and map to themselves; auxiliary
-    variables are handed out above that, one per diagram node in node
-    creation order.
+    variables are handed out above that, one per diagram node in the
+    diagram's lo-first post-order (a fresh build's creation order).
     """
 
     num_inputs: int = 0
@@ -123,7 +124,7 @@ def decompose(c: PBConstraint) -> Decomposition:
 
 
 def _node_vars(store: NodeStore, root: int, out: ClauseSet):
-    """Reachable nodes in id order, their auxiliary variables, TRUE and FALSE helper ids."""
+    """Reachable nodes in post-order, their auxiliary variables, TRUE and FALSE helper ids."""
     nodes = reachable_nodes(store, root)
     first = out.next_var
     top = first + len(nodes)
@@ -146,14 +147,17 @@ def encode_monotone(
     out: ClauseSet,
     root_mode: str = "unit",
     implied_lit: int | None = None,
+    offset: int = 0,
 ) -> int | None:
     """Two clauses per node for a diagram of a monotone decreasing function.
 
     For a node n with selector literal x and children f (lo) and t (hi):
     `f' -> n'` and `t' & x -> n'` (primes denote negation).  `root_mode` is
     "unit" (assert the root), "implies" (add `root | -implied_lit`), or
-    "consistency" (no root clause).  Returns the root's auxiliary variable,
-    None for a terminal root.
+    "consistency" (no root clause).  The selector of store level L is
+    `selector_lits[L - 1 - offset]`, `offset` being the build's
+    (`BuildResult.offset`).  Returns the root's auxiliary variable, None
+    for a terminal root.
 
     Preconditions: the diagram is reduced (any `NodeStore` diagram is) and
     monotone, and a variable may label several levels but always with the
@@ -191,6 +195,7 @@ def encode_monotone(
         return None
 
     table = store._nodes
+    first = offset + 1
     chain: set[int] = set()
     forced: set[int] = set()
     if root_mode == "unit":
@@ -201,7 +206,7 @@ def encode_monotone(
             level, lo, hi = table[nid - 2]
             if lo >= 2:
                 append((var_of[lo],))
-            nx = -selector_lits[level - 1]
+            nx = -selector_lits[level - first]
             if hi == FALSE_NODE and nx not in forced:
                 forced.add(nx)
                 append((nx,))
@@ -212,7 +217,7 @@ def encode_monotone(
         if lo == FALSE_NODE or hi == TRUE_NODE:
             raise ValueError(f"node {nid} is not monotone decreasing")
         n = var_of[nid]
-        nx = -selector_lits[level - 1]
+        nx = -selector_lits[level - first]
         if lo != TRUE_NODE and lo not in chain:
             append((var_of[lo], -n))
         # hi is never a chain node: that all-false restriction bounds lo
@@ -310,7 +315,11 @@ def run_pipeline(
     *,
     node_budget: int | None = None,
 ) -> tuple[ClauseSet, list[BuildResult]]:
-    """Encode `c` with one of the named pipelines; also returns the builds used."""
+    """Encode `c` with one of the named pipelines; also returns the builds used.
+
+    `node_budget` caps the fresh nodes per constraint: the one build of
+    bdd1, bdd2 and ite6, or all of bdd3's per-literal builds together.
+    """
     if method not in PIPELINES:
         raise ValueError(f"unknown pipeline {method!r}")
     if out is None:
@@ -335,6 +344,10 @@ def run_pipeline(
         # the selector map; the diagram itself is left untouched
         encode_monotone(r.store, r.root, d.bit_literals, out, root_mode="unit")
     else:  # bdd3
+        # one store for the per-literal builds, framed by the bit count of
+        # c's own decomposition, which bounds each of theirs; the node
+        # budget counts for the constraint, not per build
+        store = NodeStore(depth=sum(t.coef.bit_count() for t in c.terms))
         for idx, t in enumerate(c.terms):
             rest = c.terms[:idx] + c.terms[idx + 1 :]
             ci = PBConstraint(rest, c.bound - t.coef)
@@ -344,11 +357,16 @@ def run_pipeline(
                 out.add((-t.lit,))
                 continue
             d = decompose(ci)
-            r = build(d.decomposed, node_budget=node_budget)
+            left = None if node_budget is None else node_budget - len(store)
+            try:
+                r = build(d.decomposed, store=store, node_budget=left)
+            except NodeBudgetExceeded:
+                raise NodeBudgetExceeded(
+                    f"constraint exceeded node budget of {node_budget}") from None
             builds.append(r)
             encode_monotone(
                 r.store, r.root, d.bit_literals, out,
-                root_mode="implies", implied_lit=t.lit,
+                root_mode="implies", implied_lit=t.lit, offset=r.offset,
             )
     return out, builds
 

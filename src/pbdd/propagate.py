@@ -31,12 +31,6 @@ class Assignment:
     values: dict[int, bool] = field(default_factory=dict)
     trail: list[tuple[int, int | None]] = field(default_factory=list)
 
-    def lit_value(self, lit: int) -> bool | None:
-        v = self.values.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
     def assign(self, lit: int, reason: int | None = None) -> None:
         var = abs(lit)
         if self.values.get(var) is not None:

@@ -20,11 +20,18 @@ class NodeStore:
     Decision nodes get ids starting at 2; 0 and 1 are the terminals.
     A store is single-writer while building; reads may be concurrent
     once construction is done.
+
+    `depth`, when given, is the frame depth of the builds that share the
+    store: `pbdd.builder.build` then bottom-aligns each build on levels
+    depth-n+1..depth and keeps its level stores, keyed by coefficient
+    suffix, in `suffixes` for the next build.
     """
 
-    def __init__(self):
+    def __init__(self, depth: int | None = None):
         self._nodes: list[tuple[int, int, int]] = []  # (level, lo, hi)
         self._unique: dict[tuple[int, int, int], int] = {}
+        self.depth = depth
+        self.suffixes: dict = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -70,9 +77,6 @@ class NodeStore:
     def hi(self, nid: int) -> int:
         return self._nodes[nid - 2][2]
 
-    def is_terminal(self, nid: int) -> bool:
-        return nid < 2
-
 
 def eval_bdd(
     store: NodeStore,
@@ -98,27 +102,36 @@ def eval_bdd(
 
 
 def reachable_nodes(store: NodeStore, root: int) -> list[int]:
-    """Decision nodes reachable from `root`, in creation (id) order.
+    """Decision nodes reachable from `root`, in lo-first post-order.
 
-    One downward sweep over ids: a node's children are created before it
-    (`mk_node` and the builder accept a node only after `check_children`
-    has found both children in the store), so every child id is below
-    its parent's.  Walking from `root` down to 2, a node is reached
-    exactly when it was marked by a reached parent before the walk gets
-    to it, and it then marks its own children.
+    A node comes after everything reachable from its lo child, then after
+    everything reachable from its hi child.  The builder creates a fresh
+    diagram's nodes in exactly this order, so on a store that holds one
+    build it is id order; on a shared store it is still the order a fresh
+    build would have created the diagram in.  One traversal, O(reachable
+    nodes) steps; the marks are sized by the root id, which bounds every
+    reachable id because a child's id lies below its parent's.
     """
     if root < 2:
         return []
     table = store._nodes
-    mark = bytearray(root + 1)
-    mark[root] = 1
+    seen = bytearray(root + 1)
+    seen[FALSE_NODE] = seen[TRUE_NODE] = 1
     found = []
-    for nid in range(root, 1, -1):
-        if mark[nid]:
-            found.append(nid)
+    stack = [root]  # nodes to visit, and ~n once n's lo chain is entered
+    pop, push = stack.pop, stack.append
+    while stack:
+        nid = pop()
+        if nid < 0:  # both subtrees of ~nid are done
+            found.append(~nid)
+            continue
+        while not seen[nid]:  # down the lo chain; hi children wait
+            seen[nid] = 1
             _, lo, hi = table[nid - 2]
-            mark[lo] = mark[hi] = 1
-    found.reverse()
+            push(~nid)
+            if not seen[hi]:
+                push(hi)
+            nid = lo
     return found
 
 

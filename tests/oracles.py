@@ -5,9 +5,12 @@ style, models come from exhaustive evaluation, satisfiability checks are
 a tiny self-contained DPLL, and propagation results can be replayed
 against the clause list to validate conflict claims.  The reference
 emitters are the original raw emission of `pbdd.encode` followed by a
-rescan-to-fixpoint unit simplification, over the nodes found by the
-previous depth-first `reachable_nodes` (`reference_reachable_nodes`).
-The enumerating
+rescan-to-fixpoint unit simplification, numbering the nodes in a
+recursive lo-first post-order (`reference_post_order`);
+`reference_reachable_nodes` is the previous depth-first `reachable_nodes`,
+an independent oracle for the reachable set.  `reference_bdd3` is the
+bdd3 pipeline with a fresh store per literal, before the per-literal
+builds shared one store.  The enumerating
 property checkers at the end are the previous implementations of
 `pbdd.verify`'s checkers; they use only `UnitPropagator.run`, which
 propagates every assignment from scratch.  `reference_build` is the
@@ -22,8 +25,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
 
-from pbdd.builder import BuildStats, NodeBudgetExceeded
+from pbdd.builder import BuildStats, NodeBudgetExceeded, build
 from pbdd.constraints import PBConstraint, evaluate
+from pbdd.encode import decompose, encode_monotone
 from pbdd.intervals import Interval, NEG_INF, POS_INF
 from pbdd.propagate import CONFLICT, UnitPropagator
 from pbdd.robdd import NodeStore, TRUE_NODE
@@ -248,15 +252,55 @@ def reference_reachable_nodes(store, root) -> list[int]:
     return sorted(seen)
 
 
-def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit):
+def reference_post_order(store, root) -> list[int]:
+    """Decision nodes reachable from `root`, each after its lo then its hi subtree."""
+    order: list[int] = []
+    seen: set[int] = set()
+
+    def visit(nid: int) -> None:
+        if nid < 2 or nid in seen:
+            return
+        seen.add(nid)
+        _, lo, hi = store.node(nid)
+        visit(lo)
+        visit(hi)
+        order.append(nid)
+
+    visit(root)
+    return order
+
+
+def reference_bdd3(c: PBConstraint, out) -> None:
+    """bdd3 with a fresh `NodeStore` per literal fixed true, encoded into `out`."""
+    if c.trivially_true:
+        return
+    if c.trivially_false:
+        out.add(())
+        return
+    for idx, t in enumerate(c.terms):
+        ci = PBConstraint(c.terms[:idx] + c.terms[idx + 1 :], c.bound - t.coef)
+        if ci.trivially_true:
+            continue
+        if ci.trivially_false:
+            out.add((-t.lit,))
+            continue
+        d = decompose(ci)
+        r = build(d.decomposed)
+        encode_monotone(r.store, r.root, d.bit_literals, out,
+                        root_mode="implies", implied_lit=t.lit)
+
+
+def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit,
+                   offset=0):
     """The original emitter: raw clauses with two terminal helpers, then simplified.
 
-    Allocates one auxiliary variable per reachable node in id order plus
+    Allocates one auxiliary variable per reachable node in post-order plus
     the TRUE and FALSE helpers, emits `per_node(n, x, lo, hi)` for every
     node, the helper units and the root clause, counts them into
     `out.raw_count`, and adds the `unit_simplify_fixpoint` result to `out`.
+    Store level L tests `selector_lits[L - 1 - offset]`.
     """
-    nodes = reference_reachable_nodes(store, root)
+    nodes = reference_post_order(store, root)
     var_of = {nid: out.new_var() for nid in nodes}
     top = out.new_var()
     bot = out.new_var()
@@ -269,7 +313,7 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
     raw: list[list[int]] = []
     for nid in nodes:
         level, lo, hi = store.node(nid)
-        x = selector_lits[level - 1]
+        x = selector_lits[level - 1 - offset]
         raw.extend(per_node(var_of[nid], x, lit_of(lo), lit_of(hi)))
     raw.append([top])
     raw.append([-bot])
@@ -289,13 +333,14 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
 
 
 def reference_encode_monotone(store, root, selector_lits, out,
-                              root_mode="unit", implied_lit=None):
+                              root_mode="unit", implied_lit=None, offset=0):
     """`encode_monotone` by raw emission and the fixpoint simplifier."""
 
     def per_node(nvar, x, lo_lit, hi_lit):
         return [[lo_lit, -nvar], [hi_lit, -x, -nvar]]
 
-    return reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit)
+    return reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit,
+                          offset)
 
 
 def reference_encode_ite6(store, root, selector_lits, out):

@@ -29,6 +29,7 @@ from oracles import (
     cnf_model_set_matches,
     reduced_node_count,
     reference_build,
+    reference_post_order,
     reference_reachable_nodes,
 )
 
@@ -265,15 +266,20 @@ def test_build_matches_reference_on_shared_stores():
         assert_same_build(build(c, store=mine), reference_build(c, store=theirs), str(c))
 
 
+def assert_reachable(store, root, label):
+    """`reachable_nodes` is the recursive post-order of the DFS's reachable set."""
+    got = reachable_nodes(store, root)
+    assert got == reference_post_order(store, root), label
+    assert sorted(got) == reference_reachable_nodes(store, root), label
+
+
 def test_reachable_sweep_matches_depth_first_search():
-    # the id sweep relies on every child id lying below its parent's
     empty = NodeStore()
     for root in (FALSE_NODE, TRUE_NODE):
         assert reachable_nodes(empty, root) == reference_reachable_nodes(empty, root) == []
     for c in differential_corpus() + [hosaka_family(2)]:
         for r in (build(c), build(decompose(c).decomposed)):
-            assert reachable_nodes(r.store, r.root) == \
-                reference_reachable_nodes(r.store, r.root), str(c)
+            assert_reachable(r.store, r.root, str(c))
     # shared store: most roots reach only part of the store below them
     shared = NodeStore()
     rng = random.Random(29)
@@ -286,7 +292,7 @@ def test_reachable_sweep_matches_depth_first_search():
     roots = [build(c, store=shared).root for c in cases]
     assert len(roots) == 140
     for root in roots + [FALSE_NODE, TRUE_NODE] + list(range(2, len(shared) + 2, 7)):
-        assert reachable_nodes(shared, root) == reference_reachable_nodes(shared, root), root
+        assert_reachable(shared, root, root)
 
 
 def test_build_budget_stops_where_reference_stops():

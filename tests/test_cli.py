@@ -83,8 +83,10 @@ def test_encode_multi_constraint_disjoint_aux_ranges(tmp_path):
 
 
 def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch):
-    # the pool starts only with at least CHUNKS_PER_JOB (4) constraints per job
-    import pbdd.cli
+    # the pool starts only with at least CHUNKS_PER_JOB (4) constraints per job;
+    # cmd_encode imports ProcessPoolExecutor from concurrent.futures when it
+    # needs one
+    import concurrent.futures
 
     pools = []
 
@@ -92,7 +94,7 @@ def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch):
         pools.append(kwargs["max_workers"])
         return ProcessPoolExecutor(*args, **kwargs)
 
-    monkeypatch.setattr(pbdd.cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     for rows, jobs, want_pools in ((6, "2", []), (7, "2", []), (8, "2", [2]), (11, "3", [])):
         path = tmp_path / "many.opb"
         lines = [f"+{i + 1} x1 +{i + 2} x2 +{i + 3} x3 <= {2 * i + 3} ;" for i in range(rows)]
@@ -243,6 +245,26 @@ def test_exit_codes(tmp_path):
     code, _, err = run_cli(["encode", "--method", "bdd1", "--in", str(big),
                             "--node-budget", "1"])
     assert code == 4 and "budget" in err
+
+
+def test_encode_pauses_the_cyclic_collector_only_while_it_runs(tmp_path, monkeypatch):
+    import gc
+    import pbdd.cli
+
+    seen = []
+    real = pbdd.cli._encode_chunk
+    monkeypatch.setattr(pbdd.cli, "_encode_chunk",
+                        lambda *a, **k: seen.append(gc.isenabled()) or real(*a, **k))
+    big = tmp_path / "big.opb"
+    big.write_text("+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n")
+    out = str(tmp_path / "big.cnf")
+    assert main(["encode", "--method", "bdd3", "--in", str(big), "--out", out]) == 0
+    assert gc.isenabled()
+    assert main(["encode", "--method", "bdd3", "--in", str(big), "--out", out,
+                 "--node-budget", "1"]) == 4
+    assert gc.isenabled() and seen == [False, False]
+    assert main(["stats", "--method", "bdd1", "--in", str(big)]) == 0
+    assert gc.isenabled()
 
 
 def test_node_budget_env_override(tmp_path):
