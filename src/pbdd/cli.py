@@ -152,25 +152,50 @@ def _chunks(items: list, count: int) -> list[list]:
 
 
 def _assemble(results, num_inputs: int) -> ClauseSet:
-    """Stitch per-chunk clause lists into one set with disjoint aux ranges."""
+    """Stitch per-chunk clause lists, in order, into one set with disjoint aux ranges.
+
+    Each clause is held once: the set adopts the first chunk's list when
+    that chunk needs no shift (the only chunk at `--jobs 1`), and a
+    shifted chunk's list is dropped once it is copied, when `results` is
+    an iterator.
+    """
     out = ClauseSet(num_inputs=num_inputs)
     for clauses, naux in results:
         shift = out.next_var - 1 - num_inputs
         out.next_var += naux
         if not shift:
-            out.clauses.extend(clauses)
+            if out.clauses:
+                out.clauses.extend(clauses)
+            else:
+                out.clauses = clauses
             continue
+        append = out.clauses.append
         for cl in clauses:
-            out.clauses.append(tuple(
+            append(tuple(
                 l if -num_inputs <= l <= num_inputs else (l + shift if l > 0 else l - shift)
                 for l in cl
             ))
     return out
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of `path`; OpbParseError at the first byte that does not decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise OpbParseError(
+            f"input is not UTF-8: byte 0x{data[exc.start]:02x} at byte offset "
+            f"{exc.start} ({exc.reason})",
+            data.count(b"\n", 0, exc.start) + 1,
+            len(data[line_start:exc.start].decode("utf-8")) + 1,
+        ) from None
+
+
 def _load_constraints(path: str) -> tuple[Instance, list[PBConstraint]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        inst = parse_opb(fh.read())
+    inst = parse_opb(_read_text(path))
     normalized: list[PBConstraint] = []
     for raw in inst.constraints:
         normalized.extend(normalize(raw))
@@ -196,8 +221,29 @@ def cmd_encode(args) -> int:
 
 
 def _encode_file(args) -> int:
+    names, cs = _encode_input(args)
+    text = dimacs_text(cs, method=args.method, names=names)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if args.map:
+        with open(args.map, "w", encoding="utf-8") as fh:
+            for vid, name in enumerate(names, 1):
+                fh.write(f"{name} {vid}\n")
+    return EXIT_OK
+
+
+def _encode_input(args) -> tuple[list[str], ClauseSet]:
+    """The input's variable names and its assembled clauses.
+
+    Only the names outlive this call: the parsed rows and the normalized
+    constraints are released before the writer runs.
+    """
     inst, constraints = _load_constraints(args.infile)
-    encode = partial(_encode_chunk, method=args.method, num_inputs=len(inst.names),
+    num_inputs = len(inst.names)
+    encode = partial(_encode_chunk, method=args.method, num_inputs=num_inputs,
                      small_naive=args.small_naive, node_budget=_node_budget(args))
     if args.jobs > 1 and len(constraints) >= CHUNKS_PER_JOB * args.jobs:
         # a few chunks per worker balance the load at a few round trips each;
@@ -207,21 +253,10 @@ def _encode_file(args) -> int:
 
         chunks = _chunks(constraints, CHUNKS_PER_JOB * args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(encode, chunks))
+            cs = _assemble(pool.map(encode, chunks), num_inputs)
     else:
-        results = [encode(constraints)]
-    cs = _assemble(results, len(inst.names))
-    text = dimacs_text(cs, method=args.method, names=inst.names)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.map:
-        with open(args.map, "w", encoding="utf-8") as fh:
-            for vid, name in enumerate(inst.names, 1):
-                fh.write(f"{name} {vid}\n")
-    return EXIT_OK
+        cs = _assemble([encode(constraints)], num_inputs)
+    return inst.names, cs
 
 
 def cmd_stats(args) -> int:
@@ -421,8 +456,10 @@ def main(argv=None) -> int:
     except OpbParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"cannot open {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not a file that failed to open, e.g. a broken pipe
+            raise
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except NodeBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -216,18 +216,19 @@ def encode_monotone(
         level, lo, hi = table[nid - 2]
         if lo == FALSE_NODE or hi == TRUE_NODE:
             raise ValueError(f"node {nid} is not monotone decreasing")
-        n = var_of[nid]
+        # one int object for -n, shared by the node's two clauses
+        nn = -var_of[nid]
         nx = -selector_lits[level - first]
         if lo != TRUE_NODE and lo not in chain:
-            append((var_of[lo], -n))
+            append((var_of[lo], nn))
         # hi is never a chain node: that all-false restriction bounds lo
         # from above and hi <= lo, so lo would equal hi
         if nx in forced:
             continue
         if hi == FALSE_NODE:
-            append((nx, -n))
+            append((nx, nn))
         else:
-            append((var_of[hi], nx) if nid in chain else (var_of[hi], nx, -n))
+            append((var_of[hi], nx) if nid in chain else (var_of[hi], nx, nn))
     if root_mode == "implies":
         append((var_of[root], -implied_lit))
     return var_of[root]

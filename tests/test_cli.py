@@ -305,3 +305,23 @@ def test_verify_max_n_limit_is_inclusive(capsys):
     assert main(["verify", "--method", "bdd1", "--max-n", "14", "--seeds", "2"]) == 0
     assert "checked 2 random constraints" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("flag", ["--in", "--out", "--map"])
+def test_directory_paths_exit_3_without_traceback(run_opb, tmp_path, flag):
+    paths = {"--in": run_opb, "--out": str(tmp_path / "out.cnf"),
+             "--map": str(tmp_path / "vars.map")}
+    paths[flag] = str(tmp_path)
+    code, _, err = run_cli(["encode", "--method", "bdd1",
+                            *(tok for item in paths.items() for tok in item)])
+    assert code == 3
+    assert f"cannot open {tmp_path}: Is a directory" in err and "Traceback" not in err
+
+
+def test_non_utf8_input_exits_3_with_its_byte_offset(tmp_path):
+    bad = tmp_path / "latin1.opb"
+    # line 2 holds "* ", a two-byte "é", " " and then a byte no UTF-8 text starts with
+    bad.write_bytes(b"+1 x1 <= 1 ;\n* \xc3\xa9 \xff\n")
+    code, _, err = run_cli(["encode", "--method", "bdd1", "--in", str(bad)])
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith("parse error: line 2, column 5: input is not UTF-8: "
+                          "byte 0xff at byte offset 18")

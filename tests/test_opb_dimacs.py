@@ -1,4 +1,6 @@
 import io
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -11,6 +13,7 @@ from pbdd import (
     OpbParseError,
     PBConstraint,
     RawConstraint,
+    cardinality,
     dimacs_text,
     encode_small,
     evaluate,
@@ -19,9 +22,12 @@ from pbdd import (
     pipeline_bdd1,
     pipeline_bdd3,
     pipeline_ite6,
+    run_pipeline,
     write_dimacs,
     write_opb,
 )
+from pbdd.dimacs import BLOCK
+from oracles import dpll_satisfiable
 
 RUN = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)
 
@@ -170,6 +176,46 @@ def test_hypothesis_write_parse_roundtrip(rows, labels):
     assert inst.constraints == raws
 
 
+OPB_ROWS = st.lists(
+    st.tuples(
+        # (coefficient, variable index, negated); indices repeat within a row
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6), st.booleans()),
+                 max_size=6),
+        st.sampled_from(["<=", ">=", "=", "<", ">"]),
+        st.integers(-20, 20),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(OPB_ROWS)
+def test_hypothesis_opb_text_encodes_to_its_model_set(rows):
+    # the OPB text's meaning, with ~x read as 1 - x, decides each assignment
+    text = "".join(
+        " ".join(f"{a:+d} {'~' if neg else ''}x{v}" for a, v, neg in terms) + f" {op} {b} ;\n"
+        for terms, op, b in rows
+    )
+    inst = parse_opb(text)
+    constraints = [c for raw in inst.constraints for c in normalize(raw)]
+    ids = [inst.name_to_id[name] for name in inst.names]
+    for method in ("bdd1", "bdd3"):
+        out = ClauseSet(num_inputs=len(inst.names))
+        for c in constraints:
+            run_pipeline(method, c, out)
+        for values in product((0, 1), repeat=len(ids)):
+            by_index = {int(name[1:]): x for name, x in zip(inst.names, values)}
+            want = all(
+                ROW_OPS[op](sum(a * (1 - by_index[v] if neg else by_index[v])
+                                for a, v, neg in terms), b)
+                for terms, op, b in rows
+            )
+            assert all(evaluate(c, dict(zip(ids, values))) for c in constraints) == want
+            got = dpll_satisfiable(out.clauses, {v: bool(x) for v, x in zip(ids, values)})
+            assert got == want, (text, method, values)
+
+
 def test_opb_roundtrip():
     text = write_opb([RUN], header=["demo"])
     inst = parse_opb(text)
@@ -221,6 +267,40 @@ def test_dimacs_templates_match_per_literal_join():
     assert dimacs_text(cs, method="bdd3", names=names) == \
         per_literal_dimacs(cs, method="bdd3", names=names)
     assert dimacs_text(cs) == per_literal_dimacs(cs)
+
+    # the writer joins BLOCK clauses at a time: counts on both sides of a block edge
+    rng = random.Random(7)
+    for count in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        cs = ClauseSet(num_inputs=12_345)
+        for _ in range(20):
+            cs.new_var()
+        # any int tuple is written as it is, so no complementary-pair check is needed
+        cs.clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, cs.max_var)
+                            for _ in range(rng.choice((0, 1, 2, 3, 3, 5))))
+                      for _ in range(count)]
+        if count:
+            cs.clauses[-1] = ()
+        want = per_literal_dimacs(cs, method="bdd1")
+        assert dimacs_text(cs, method="bdd1") == want, count
+        sink = io.StringIO()
+        write_dimacs(cs, sink, method="bdd1")
+        assert sink.getvalue() == want, count
+        if count > BLOCK:
+            assert any(l > 9_999 for cl in cs.clauses for l in cl)
+            assert () in cs.clauses[:BLOCK]
+
+
+def test_dimacs_text_peak_memory_stays_below_three_texts():
+    # the blocks plus the joined text; a str per clause would reach about 6.4 texts
+    cs = pipeline_bdd1(cardinality(320, 160))
+    assert len(cs.clauses) == 51_360
+    tracemalloc.start()
+    try:
+        text = dimacs_text(cs, method="bdd1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), peak / len(text)
 
 
 def test_dimacs_running_example_golden():
