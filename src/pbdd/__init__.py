@@ -18,9 +18,6 @@ from .robdd import (
     to_dot,
 )
 from .intervals import (
-    EMPTY,
-    NEG_INF,
-    POS_INF,
     Interval,
     combine_child_intervals,
     terminal_interval,

@@ -9,12 +9,12 @@ The construction loop runs on plain ints.  A level's finite entries are
 three parallel lists sorted by lower bound (lower bounds, upper bounds,
 node ids), owned by its `LevelStore`.  The two terminal entries are
 implicit: at level i a bound k < 0 gives FALSE and k >= a_i + ... + a_n
-gives TRUE.  Intervals travel as `(lo, hi)` int pairs; only a terminal
-has an infinite end, written None, and it never takes part in
-arithmetic, so coefficients of any size stay exact.  Nodes are added
-straight to the `NodeStore`'s table.  `Interval` objects are made only
-when asked for: `BuildResult.root_interval`/`intervals` and
-`LevelStore.entries`/`search`.
+gives TRUE.  Intervals travel as `(lo, hi)` int pairs, the shape of the
+public `Interval`: only a terminal has an infinite end, written None, and
+it never takes part in arithmetic, so coefficients of any size stay
+exact.  Nodes are added straight to the `NodeStore`'s table.  The level
+stores are the only record of a build's intervals:
+`BuildResult.root_interval` and `intervals` read them from there.
 
 A level store depends only on the coefficient suffix a_i..a_n: its `top`
 is the suffix sum, and the sub-diagram for a bound at level i depends on
@@ -32,12 +32,12 @@ each build has private level stores on levels 1..n.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .constraints import PBConstraint
-from .intervals import Interval, NEG_INF, POS_INF
+from .intervals import Interval
 from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, count_nodes, reachable_nodes
 
 
@@ -70,28 +70,29 @@ class LevelStore:
     def entries(self) -> list[tuple[Interval, int]]:
         """Every pair in interval order, terminals included."""
         return [
-            (Interval(NEG_INF, -1), FALSE_NODE),
+            (Interval(None, -1), FALSE_NODE),
             *((Interval(lo, hi), node) for lo, hi, node in zip(self.lows, self.his, self.nodes)),
-            (Interval(self.top, POS_INF), TRUE_NODE),
+            (Interval(self.top, None), TRUE_NODE),
         ]
 
     def search(self, k: int) -> tuple[Interval, int] | None:
         """The unique stored pair whose interval contains `k`, if any."""
         if k < 0:
-            return Interval(NEG_INF, -1), FALSE_NODE
+            return Interval(None, -1), FALSE_NODE
         if k >= self.top:
-            return Interval(self.top, POS_INF), TRUE_NODE
+            return Interval(self.top, None), TRUE_NODE
         idx = bisect_right(self.lows, k) - 1
         if idx >= 0 and k <= self.his[idx]:
             return Interval(self.lows[idx], self.his[idx]), self.nodes[idx]
         return None
 
     def insert(self, iv: Interval, node: int) -> None:
-        if iv.is_empty:
-            raise ValueError("refusing to insert an empty interval")
-        if iv.lo == NEG_INF or iv.hi == POS_INF:
+        lo, hi = iv
+        if lo is None or hi is None:
             raise ValueError(f"interval {iv} overlaps a terminal entry")
-        self._put(bisect_right(self.lows, iv.lo), iv.lo, iv.hi, node)
+        if lo > hi:
+            raise ValueError("refusing to insert an empty interval")
+        self._put(bisect_right(self.lows, lo), lo, hi, node)
 
     def _put(self, idx: int, lo: int, hi: int, node: int) -> None:
         """Insert finite, non-empty [lo, hi] at position `idx` of the sorted lists."""
@@ -123,9 +124,6 @@ class BuildResult:
     root: int
     level_stores: tuple[LevelStore, ...]  # levels 1..n+1, shared in a framed store
     stats: BuildStats
-    root_bounds: tuple[int | None, int | None] = field(repr=False)
-    # (lo, hi, node) per node-making step, in construction order
-    made: list[tuple[int, int, int]] = field(repr=False)
     # store level of build level i is i + offset; `eval_bdd` and `to_dot`
     # index store levels, so give them `level_lits` behind `offset` fillers
     offset: int = 0
@@ -138,16 +136,29 @@ class BuildResult:
     def node_count(self) -> int:
         return count_nodes(self.store, self.root)
 
-    @cached_property
+    @property
     def root_interval(self) -> Interval:
-        """Bounds interchangeable with the input bound."""
-        lo, hi = self.root_bounds
-        return Interval(NEG_INF if lo is None else lo, POS_INF if hi is None else hi)
+        """Bounds interchangeable with the input bound: its level-1 entry."""
+        return self.level_stores[0].search(self.constraint.bound)[0]
 
     @cached_property
     def intervals(self) -> dict[int, Interval]:
-        """Interval per node made by this build, at its own selector level, in creation order."""
-        return {node: Interval(lo, hi) for lo, hi, node in self.made}
+        """Interval per reachable node, in lo-first post-order.
+
+        Each is the node's entry in this build's level store at the node's
+        own level; on a shared store that entry may predate the build.
+        """
+        first = self.offset + 1
+        at_level: list[dict[int, Interval] | None] = [None] * len(self.level_stores)
+        found = {}
+        for nid in reachable_nodes(self.store, self.root):
+            i = self.store.node(nid)[0] - first
+            entries = at_level[i]
+            if entries is None:
+                ls = self.level_stores[i]
+                entries = at_level[i] = dict(zip(ls.nodes, map(Interval, ls.lows, ls.his)))
+            found[nid] = entries[nid]
+        return found
 
 
 def level_widths(result: BuildResult) -> list[int]:
@@ -223,8 +234,7 @@ def build(
     unique = store._unique
     before = len(table)
     cap = None if node_budget is None else before + node_budget
-    merges = 0
-    made: list[tuple[int, int, int]] = []
+    merges = made = 0
 
     # Explicit stack instead of recursion: coefficient decomposition can
     # produce n*(log a_max + 1) levels, well past the recursion limit.
@@ -265,7 +275,7 @@ def build(
                 lo = f_lo if t_lo is None or (f_lo is not None and f_lo >= t_lo + a) else t_lo + a
                 hi = f_hi if t_hi is None or (f_hi is not None and f_hi <= t_hi + a) else t_hi + a
                 entry = (lo, hi, node)
-                made.append(entry)
+                made += 1
             if not lo <= hi:
                 raise ValueError(f"empty interval [{lo}, {hi}] for a node at level {i + offset}")
             levels[i - 1]._put(idx, lo, hi, node)
@@ -288,9 +298,9 @@ def build(
             stack.append((i + 1, k - coef_at[i]))  # hi branch: literal true
             i += 1                                  # lo branch evaluated first
 
-    root_lo, root_hi, root = results.pop()
+    root = results.pop()[2]
     # every call is a hit or makes exactly two more calls and one combine
-    misses = merges + len(made)
+    misses = merges + made
     return BuildResult(
         constraint=c,
         order=tuple(t.var for t in terms),
@@ -305,7 +315,5 @@ def build(
             merges=merges,
             created=len(table) - before,
         ),
-        root_bounds=(root_lo, root_hi),
-        made=made,
         offset=offset,
     )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
-NODE_BUDGET_ENV = "PBDD_NODE_BUDGET"
 CHUNKS_PER_JOB = 4
 
 
@@ -202,13 +200,6 @@ def _load_constraints(path: str) -> tuple[Instance, list[PBConstraint]]:
     return inst, normalized
 
 
-def _node_budget(args) -> int | None:
-    if args.node_budget is not None:
-        return args.node_budget
-    env = os.environ.get(NODE_BUDGET_ENV)
-    return int(env) if env else None
-
-
 def cmd_encode(args) -> int:
     # The encode allocates only acyclic tuples and lists, which reference
     # counting frees; the cyclic collector would only rescan the growing
@@ -244,7 +235,7 @@ def _encode_input(args) -> tuple[list[str], ClauseSet]:
     inst, constraints = _load_constraints(args.infile)
     num_inputs = len(inst.names)
     encode = partial(_encode_chunk, method=args.method, num_inputs=num_inputs,
-                     small_naive=args.small_naive, node_budget=_node_budget(args))
+                     small_naive=args.small_naive, node_budget=args.node_budget)
     if args.jobs > 1 and len(constraints) >= CHUNKS_PER_JOB * args.jobs:
         # a few chunks per worker balance the load at a few round trips each;
         # with fewer constraints each chunk is one of them and the largest
@@ -261,12 +252,11 @@ def _encode_input(args) -> tuple[list[str], ClauseSet]:
 
 def cmd_stats(args) -> int:
     inst, constraints = _load_constraints(args.infile)
-    budget = _node_budget(args)
     report = EncodingReport(method=args.method)
     for idx, c in enumerate(constraints, 1):
         out = ClauseSet(num_inputs=len(inst.names))
         start = time.perf_counter()
-        _, builds = run_pipeline(args.method, c, out, node_budget=budget)
+        _, builds = run_pipeline(args.method, c, out, node_budget=args.node_budget)
         elapsed = (time.perf_counter() - start) * 1000.0
         binary, ternary, other = _clause_histogram(out.clauses)
         nodes, nodes_total = _node_counts(builds)
@@ -372,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--node-budget", type=int, default=None,
-                       help=f"abort when a constraint's diagrams need more than "
-                            f"this many nodes (env {NODE_BUDGET_ENV})")
+                       help="abort when a constraint's diagrams need more than "
+                            "this many nodes")
 
     p = sub.add_parser("encode", help="encode an OPB file to DIMACS CNF")
     p.add_argument("--method", choices=PIPELINES, required=True)
@@ -433,6 +423,8 @@ def main(argv=None) -> int:
             parser.error("verify --seeds must be >= 1")
     if args.command == "encode" and args.jobs < 1:
         parser.error("encode --jobs must be >= 1")
+    if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
+        parser.error(f"{args.command} --node-budget must be >= 0")
     if args.command == "gen":
         if args.n < 1:
             parser.error("gen --n must be >= 1")

@@ -1,104 +1,36 @@
-"""Integer intervals with infinite endpoints and the per-node interval algebra.
+"""Per-node integer intervals and their bottom-up recomputation.
 
 Every diagram node stands for a whole family of right-hand sides: the set
 of bounds M for which the node's sub-diagram represents the suffix
 constraint `a_i*l_i + ... + a_n*l_n <= M`.  That set is always an integer
-interval, possibly extending to +/-infinity at the terminals.
+interval.  Only a terminal's interval is unbounded, on one side, and that
+end is written None; an end never takes part in arithmetic while it is
+None, so coefficients of any size stay exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
-class _Infinity:
-    """Signed infinity that compares and saturates against plain ints."""
+class Interval(NamedTuple):
+    """Closed integer interval [lo, hi]; a None end is infinite."""
 
-    __slots__ = ("sign",)
+    lo: int | None
+    hi: int | None
 
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign <= other.sign
-        return self.sign < 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __ge__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign >= other.sign
-        return self.sign > 0
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity) and self.sign == other.sign
-
-    def __hash__(self):
-        return hash(("inf", self.sign))
-
-    def __add__(self, other):
-        if isinstance(other, _Infinity) and other.sign != self.sign:
-            raise ValueError("adding opposite infinities")
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NEG_INF if self.sign > 0 else POS_INF
-
-    def __repr__(self):
-        return "+inf" if self.sign > 0 else "-inf"
-
-
-POS_INF = _Infinity(1)
-NEG_INF = _Infinity(-1)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed integer interval [lo, hi]; either end may be infinite."""
-
-    lo: int | _Infinity
-    hi: int | _Infinity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.lo <= self.hi
-
-    def contains(self, k) -> bool:
-        return self.lo <= k and k <= self.hi
-
-    def shift(self, delta: int) -> "Interval":
-        return Interval(self.lo + delta, self.hi + delta)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = self.lo if other.lo <= self.lo else other.lo
-        hi = self.hi if self.hi <= other.hi else other.hi
-        iv = Interval(lo, hi)
-        return EMPTY if iv.is_empty else iv
+    def contains(self, k: int) -> bool:
+        return (self.lo is None or self.lo <= k) and (self.hi is None or k <= self.hi)
 
     def __str__(self):
-        left = "(-inf" if self.lo == NEG_INF else f"[{self.lo}"
-        right = "+inf)" if self.hi == POS_INF else f"{self.hi}]"
+        left = "(-inf" if self.lo is None else f"[{self.lo}"
+        right = "+inf)" if self.hi is None else f"{self.hi}]"
         return f"{left}, {right}"
-
-
-EMPTY = Interval(POS_INF, NEG_INF)  # designated empty value
 
 
 def terminal_interval(value: bool) -> Interval:
     """[0, +inf) for the True terminal, (-inf, -1] for False."""
-    return Interval(0, POS_INF) if value else Interval(NEG_INF, -1)
+    return Interval(0, None) if value else Interval(None, -1)
 
 
 def combine_child_intervals(
@@ -114,15 +46,17 @@ def combine_child_intervals(
     `coefs` is the per-level coefficient list; terminals count as level
     n+1.  Coefficients of levels skipped by long edges are added back to
     the children's lower bounds, since those levels were removed exactly
-    because both branches agree there.
+    because both branches agree there.  An infinite (None) end gives way
+    to a finite one.
     """
     a = coefs[level - 1]
     skip_lo = sum(coefs[level : lo_level - 1])
     skip_hi = sum(coefs[level : hi_level - 1])
-    lo_bound = max(lo_iv.lo + skip_lo, hi_iv.lo + a + skip_hi)
-    hi_bound = min(lo_iv.hi, hi_iv.hi + a)
-    iv = Interval(lo_bound, hi_bound)
-    if iv.is_empty:
+    lows = [end + d for end, d in ((lo_iv.lo, skip_lo), (hi_iv.lo, a + skip_hi))
+            if end is not None]
+    highs = [end + d for end, d in ((lo_iv.hi, 0), (hi_iv.hi, a)) if end is not None]
+    iv = Interval(max(lows, default=None), min(highs, default=None))
+    if lows and highs and iv.lo > iv.hi:
         raise ValueError("child intervals are mutually inconsistent")
     return iv
 
@@ -138,7 +72,9 @@ def verify_intervals(
     Returns None when everything matches, else `(node, stored, recomputed)`
     for the first mismatch in bottom-up order.  This is the independent
     cross-check for the construction algorithm, which labels nodes on the
-    way down instead.
+    way down instead.  `coefs` is indexed by store level: for a build into
+    a framed store, pass `(0,) * r.offset + r.coefs`, as for `eval_bdd`
+    and `to_dot`.
     """
     n = len(coefs)
     terminal_level = n + 1

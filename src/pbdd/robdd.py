@@ -65,17 +65,8 @@ class NodeStore:
         return nid
 
     def node(self, nid: int) -> tuple[int, int, int]:
+        """`(level, lo, hi)` of a decision node."""
         return self._nodes[nid - 2]
-
-    def level(self, nid: int) -> int | None:
-        """Selector level of a decision node, None for terminals."""
-        return None if nid < 2 else self._nodes[nid - 2][0]
-
-    def lo(self, nid: int) -> int:
-        return self._nodes[nid - 2][1]
-
-    def hi(self, nid: int) -> int:
-        return self._nodes[nid - 2][2]
 
 
 def eval_bdd(

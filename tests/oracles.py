@@ -14,8 +14,11 @@ builds shared one store.  The enumerating
 property checkers at the end are the previous implementations of
 `pbdd.verify`'s checkers; they use only `UnitPropagator.run`, which
 propagates every assignment from scratch.  `reference_build` is the
-previous construction loop of `pbdd.builder`, on `Interval` objects,
-level stores holding explicit terminal entries and `NodeStore.mk_node`.
+previous construction loop of `pbdd.builder`, on the previous interval
+algebra (`_RefInterval` with `_Infinity` ends, kept here as a private
+copy), level stores holding explicit terminal entries and
+`NodeStore.mk_node`; it returns public `Interval`s, None for an infinite
+end.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Mapping, Sequence
 from pbdd.builder import BuildStats, NodeBudgetExceeded, build
 from pbdd.constraints import PBConstraint, evaluate
 from pbdd.encode import decompose, encode_monotone
-from pbdd.intervals import Interval, NEG_INF, POS_INF
+from pbdd.intervals import Interval
 from pbdd.propagate import CONFLICT, UnitPropagator
 from pbdd.robdd import NodeStore, TRUE_NODE
 from pbdd.verify import DEFAULT_ENUM_LIMIT, DEFAULT_EXTEND_LIMIT, Counterexample
@@ -556,6 +559,80 @@ def check_gac_enumerate(
     return None
 
 
+class _Infinity:
+    """Signed infinity that compares and saturates against plain ints."""
+
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+    def __lt__(self, other):
+        if isinstance(other, _Infinity):
+            return self.sign < other.sign
+        return self.sign < 0
+
+    def __le__(self, other):
+        if isinstance(other, _Infinity):
+            return self.sign <= other.sign
+        return self.sign < 0
+
+    def __gt__(self, other):
+        if isinstance(other, _Infinity):
+            return self.sign > other.sign
+        return self.sign > 0
+
+    def __ge__(self, other):
+        if isinstance(other, _Infinity):
+            return self.sign >= other.sign
+        return self.sign > 0
+
+    def __eq__(self, other):
+        return isinstance(other, _Infinity) and self.sign == other.sign
+
+    def __hash__(self):
+        return hash(("inf", self.sign))
+
+    def __add__(self, other):
+        if isinstance(other, _Infinity) and other.sign != self.sign:
+            raise ValueError("adding opposite infinities")
+        return self
+
+    __radd__ = __add__
+
+    def __repr__(self):
+        return "+inf" if self.sign > 0 else "-inf"
+
+
+_POS_INF = _Infinity(1)
+_NEG_INF = _Infinity(-1)
+
+
+@dataclass(frozen=True)
+class _RefInterval:
+    """Closed integer interval [lo, hi]; either end may be infinite."""
+
+    lo: int | _Infinity
+    hi: int | _Infinity
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.lo <= self.hi
+
+    def shift(self, delta: int) -> "_RefInterval":
+        return _RefInterval(self.lo + delta, self.hi + delta)
+
+    def intersect(self, other: "_RefInterval") -> "_RefInterval":
+        lo = self.lo if other.lo <= self.lo else other.lo
+        hi = self.hi if self.hi <= other.hi else other.hi
+        return _RefInterval(lo, hi)
+
+    def public(self) -> Interval:
+        """The same interval as `pbdd.Interval`, None for an infinite end."""
+        return Interval(None if self.lo == _NEG_INF else self.lo,
+                        None if self.hi == _POS_INF else self.hi)
+
+
 class ReferenceLevelStore:
     """Disjoint (interval, node) pairs for one level, keyed by interval lower bound.
 
@@ -568,15 +645,15 @@ class ReferenceLevelStore:
     def __init__(self, level: int):
         self.level = level
         self._lows: list = []
-        self._entries: list[tuple[Interval, int]] = []
+        self._entries: list[tuple[_RefInterval, int]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def entries(self) -> list[tuple[Interval, int]]:
-        return list(self._entries)
+        return [(iv.public(), node) for iv, node in self._entries]
 
-    def search(self, k: int) -> tuple[Interval, int] | None:
+    def search(self, k: int) -> tuple[_RefInterval, int] | None:
         """The unique stored pair whose interval contains `k`, if any."""
         idx = bisect_right(self._lows, k) - 1
         if idx >= 0:
@@ -585,7 +662,7 @@ class ReferenceLevelStore:
                 return iv, node
         return None
 
-    def insert(self, iv: Interval, node: int) -> None:
+    def insert(self, iv: _RefInterval, node: int) -> None:
         if iv.is_empty:
             raise ValueError("refusing to insert an empty interval")
         idx = bisect_right(self._lows, iv.lo)
@@ -642,15 +719,15 @@ def reference_build(
 
     levels = [None] + [ReferenceLevelStore(i) for i in range(1, n + 2)]
     for i in range(1, n + 2):
-        levels[i].insert(Interval(NEG_INF, -1), 0)
-        levels[i].insert(Interval(suffix[i], POS_INF), 1)
+        levels[i].insert(_RefInterval(_NEG_INF, -1), 0)
+        levels[i].insert(_RefInterval(suffix[i], _POS_INF), 1)
 
     stats = BuildStats()
-    intervals: dict[int, Interval] = {}
+    intervals: dict[int, _RefInterval] = {}
 
     # Explicit stack instead of recursion: coefficient decomposition can
     # produce n*(log a_max + 1) levels, well past the recursion limit.
-    results: list[tuple[Interval, int]] = []
+    results: list[tuple[_RefInterval, int]] = []
     stack: list[tuple[int, int, bool]] = [(1, c.bound, False)]
     while stack:
         i, k, combine = stack.pop()
@@ -661,7 +738,7 @@ def reference_build(
             if f_iv == t_iv:
                 stats.merges += 1
                 node = t_node
-                iv = Interval(t_iv.lo + a, t_iv.hi)
+                iv = _RefInterval(t_iv.lo + a, t_iv.hi)
             else:
                 before = len(store)
                 node = store.mk_node(i, f_node, t_node)
@@ -697,8 +774,8 @@ def reference_build(
         level_lits=lits,
         store=store,
         root=root,
-        root_interval=root_interval,
-        intervals=intervals,
+        root_interval=root_interval.public(),
+        intervals={node: iv.public() for node, iv in intervals.items()},
         level_stores=tuple(levels[1:]),
         stats=stats,
     )

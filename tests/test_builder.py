@@ -8,11 +8,9 @@ from pbdd import (
     TRUE_NODE,
     Interval,
     LevelStore,
-    NEG_INF,
     NodeBudgetExceeded,
     NodeStore,
     PBConstraint,
-    POS_INF,
     build,
     decompose,
     eval_bdd,
@@ -43,8 +41,8 @@ def fresh_store(level, suffix_sum):
 
 def test_search_initialized_store():
     ls = fresh_store(1, 10)
-    assert ls.search(-3) == (Interval(NEG_INF, -1), FALSE_NODE)
-    assert ls.search(10) == (Interval(10, POS_INF), TRUE_NODE)
+    assert ls.search(-3) == (Interval(None, -1), FALSE_NODE)
+    assert ls.search(10) == (Interval(10, None), TRUE_NODE)
     assert ls.search(6) is None
 
 
@@ -64,6 +62,8 @@ def test_insert_overlap_asserts():
         ls.insert(Interval(3, 6), 8)
     with pytest.raises(ValueError):
         ls.insert(Interval(0, 4), 8)
+    with pytest.raises(ValueError):
+        ls.insert(Interval(6, 5), 8)  # empty, in a free stretch
 
 
 def test_build_running_example_trace():
@@ -80,14 +80,14 @@ def test_build_running_example_trace():
 def test_build_trivially_true_returns_terminal():
     r = build(PBConstraint.from_pairs([(1, 1), (1, 2)], 5))
     assert r.root == TRUE_NODE
-    assert r.root_interval == Interval(2, POS_INF)
+    assert r.root_interval == Interval(2, None)
     assert r.stats.calls == 1
 
 
 def test_build_trivially_false_returns_terminal():
     r = build(PBConstraint.from_pairs([(1, 1), (1, 2)], -1))
     assert r.root == FALSE_NODE
-    assert r.root_interval == Interval(NEG_INF, -1)
+    assert r.root_interval == Interval(None, -1)
 
 
 def test_build_empty_constraint():
@@ -140,14 +140,13 @@ def test_equivalent_constraints_build_identical_diagrams():
 def _call_bound(r):
     # one call per entry step to the root's level, then 2k-1 per edge of
     # length k; terminals live at level n+1
-    n = r.levels
-    root_level = r.store.level(r.root) or n + 1
-    total = 2 * root_level - 1
+    def level(nid):
+        return r.store.node(nid)[0] if nid >= 2 else r.levels + 1
+
+    total = 2 * level(r.root) - 1
     for nid in reachable_nodes(r.store, r.root):
-        level, lo, hi = r.store.node(nid)
-        for child in (lo, hi):
-            child_level = r.store.level(child) or n + 1
-            total += 2 * (child_level - level) - 1
+        for child in r.store.node(nid)[1:]:
+            total += 2 * (level(child) - level(nid)) - 1
     return total
 
 
@@ -163,7 +162,7 @@ def test_top_level_merges_put_root_below_level_one():
     # both branches of the first two levels coincide, so the root tests x3
     c = PBConstraint.from_pairs([(1, 1), (1, 2), (5, 3)], 4)
     r = build(c)
-    assert r.store.level(r.root) == 3
+    assert r.store.node(r.root)[0] == 3
     assert r.root_interval == Interval(2, 4)
     assert verify_intervals(r.coefs, r.store, r.root, r.intervals) is None
 
@@ -330,12 +329,12 @@ def test_build_exact_beyond_float_range():
 def test_level_store_terminals_are_implicit():
     ls = build(RUN).level_stores[1]
     assert len(ls) == len(ls.nodes) + 2 == len(ls.entries())
-    assert ls.entries()[0] == (Interval(NEG_INF, -1), FALSE_NODE)
-    assert ls.entries()[-1] == (Interval(8, POS_INF), TRUE_NODE)
+    assert ls.entries()[0] == (Interval(None, -1), FALSE_NODE)
+    assert ls.entries()[-1] == (Interval(8, None), TRUE_NODE)
     with pytest.raises(ValueError):
-        ls.insert(Interval(NEG_INF, 2), 9)
+        ls.insert(Interval(None, 2), 9)
     with pytest.raises(ValueError):
-        ls.insert(Interval(7, POS_INF), 9)
+        ls.insert(Interval(7, None), 9)
     with pytest.raises(ValueError):
         ls.insert(Interval(7, 8), 9)  # reaches the TRUE entry
     with pytest.raises(ValueError):

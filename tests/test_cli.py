@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -245,6 +244,12 @@ def test_exit_codes(tmp_path):
     code, _, err = run_cli(["encode", "--method", "bdd1", "--in", str(big),
                             "--node-budget", "1"])
     assert code == 4 and "budget" in err
+    # a zero budget is valid: it admits only diagrams without decision nodes
+    easy = tmp_path / "easy.opb"
+    easy.write_text("+3 x1 +5 x2 <= 8 ;\n")
+    for cmd in ("encode", "stats"):
+        assert main([cmd, "--method", "bdd1", "--in", str(big), "--node-budget", "0"]) == 4
+        assert main([cmd, "--method", "bdd1", "--in", str(easy), "--node-budget", "0"]) == 0
 
 
 def test_encode_pauses_the_cyclic_collector_only_while_it_runs(tmp_path, monkeypatch):
@@ -267,18 +272,6 @@ def test_encode_pauses_the_cyclic_collector_only_while_it_runs(tmp_path, monkeyp
     assert gc.isenabled()
 
 
-def test_node_budget_env_override(tmp_path):
-    big = tmp_path / "big.opb"
-    big.write_text("+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n")
-    env = dict(os.environ, PBDD_NODE_BUDGET="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pbdd.cli", "encode", "--method", "bdd1",
-         "--in", str(big)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 4
-
-
 @pytest.mark.parametrize("args", [
     ["verify", "--method", "bdd1", "--max-n", "0"],
     ["verify", "--method", "bdd1", "--max-n", "-3"],
@@ -293,6 +286,8 @@ def test_node_budget_env_override(tmp_path):
     ["verify", "--method", "bdd1", "--seeds", "0"],
     ["encode", "--method", "bdd1", "--in", "any.opb", "--jobs", "0"],
     ["encode", "--method", "bdd1", "--in", "any.opb", "--jobs", "-2"],
+    ["encode", "--method", "bdd1", "--in", "any.opb", "--node-budget", "-3"],
+    ["stats", "--method", "bdd1", "--in", "any.opb", "--node-budget", "-3"],
 ])
 def test_bad_numeric_arguments_are_usage_errors(args):
     code, out, err = run_cli(args)

@@ -1,11 +1,8 @@
 import pytest
 
 from pbdd import (
-    EMPTY,
     Interval,
-    NEG_INF,
     PBConstraint,
-    POS_INF,
     build,
     combine_child_intervals,
     random_constraint,
@@ -16,27 +13,20 @@ from pbdd import (
 RUN = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)
 
 
-def test_infinity_ordering_and_saturation():
-    assert NEG_INF < -(10**30) < 0 < 10**30 < POS_INF
-    assert NEG_INF + 5 == NEG_INF
-    assert 5 + POS_INF == POS_INF
-    assert -POS_INF == NEG_INF
-    assert max(0, NEG_INF + 5) == 0
-    assert min(POS_INF, -1 + 5) == 4
-
-
 def test_terminal_intervals():
-    assert terminal_interval(True) == Interval(0, POS_INF)
-    assert terminal_interval(False) == Interval(NEG_INF, -1)
-    assert terminal_interval(True).intersect(terminal_interval(False)) is EMPTY
+    true, false = terminal_interval(True), terminal_interval(False)
+    assert true == Interval(0, None) and false == Interval(None, -1)
+    for k in (-(10**40), -1, 0, 10**40):
+        assert false.contains(k) == (k < 0) and true.contains(k) == (k >= 0)
 
 
-def test_interval_contains_and_shift():
+def test_interval_contains_and_str():
     iv = Interval(0, 4)
-    assert iv.contains(0) and iv.contains(4) and not iv.contains(5)
-    assert iv.shift(3) == Interval(3, 7)
-    assert not EMPTY.contains(0)
-    assert Interval(NEG_INF, -1).contains(-(10**40))
+    assert iv.contains(0) and iv.contains(4) and not iv.contains(5) and not iv.contains(-1)
+    assert Interval(None, -1).contains(-(10**40)) and not Interval(None, -1).contains(0)
+    assert Interval(8, None).contains(10**40) and not Interval(8, None).contains(7)
+    assert [str(Interval(5, 6)), str(Interval(None, -1)), str(Interval(8, None))] == \
+        ["[5, 6]", "(-inf, -1]", "[8, +inf)"]
 
 
 def test_combine_running_example_bottom_up():
@@ -87,10 +77,13 @@ def test_level_store_intervals_pairwise_disjoint():
         c = random_constraint(seed, seed % 8 + 1, 40, "uniform")
         r = build(c)
         for ls in r.level_stores:
+            # sorted, each non-empty and ending below the next one's start
             entries = ls.entries()
-            for i, (iv1, _) in enumerate(entries):
-                for iv2, _ in entries[i + 1:]:
-                    assert iv1.intersect(iv2) is EMPTY
+            assert entries[0][0].lo is None and entries[-1][0].hi is None
+            for iv, _ in entries[1:-1]:
+                assert iv.lo <= iv.hi
+            for (iv1, _), (iv2, _) in zip(entries, entries[1:]):
+                assert iv1.hi < iv2.lo
 
 
 def test_only_false_terminal_interval_is_negative():

@@ -1,8 +1,10 @@
 """One node store per constraint: bdd3's per-literal builds share level stores."""
 
 import importlib.util
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,15 @@ from pbdd import (
     build,
     check_equivalent,
     decompose,
+    eval_bdd,
+    evaluate,
     hosaka_family,
     level_widths,
     normalize,
     parse_opb,
     reachable_nodes,
     run_pipeline,
+    verify_intervals,
 )
 from pbdd.cli import main
 
@@ -176,3 +181,30 @@ def test_fresh_single_builds_keep_their_store_contents():
         r = build(c, store=NodeStore(depth=len(c.terms)))
         assert r.offset == 0
         assert r.store._nodes == build(c).store._nodes, str(c)
+
+
+def assert_store_level_consumers_agree(r, label):
+    """`verify_intervals` and `eval_bdd` take the build's arrays behind `offset` fillers."""
+    pad = (0,) * r.offset
+    assert verify_intervals(pad + r.coefs, r.store, r.root, r.intervals) is None, label
+    variables = r.constraint.variables()
+    if len(variables) <= 12:
+        assignments = product((0, 1), repeat=len(variables))
+    else:  # decomposed rows reach 30 bit variables: a seeded sample
+        rng = random.Random(len(variables))
+        assignments = [[rng.randint(0, 1) for _ in variables] for _ in range(256)]
+    for values in assignments:
+        a = dict(zip(variables, values))
+        assert eval_bdd(r.store, r.root, pad + r.level_lits, a) == evaluate(r.constraint, a), label
+
+
+def test_framed_builds_read_their_intervals_from_the_level_stores():
+    for c in differential_corpus() + [hosaka_family(2)]:
+        for r in run_pipeline("bdd3", c)[1]:
+            assert_store_level_consumers_agree(r, str(c))
+    # the shorter build reaches nodes that the longer one made
+    store = NodeStore(depth=5)
+    for c in (PBConstraint.from_pairs(ROW, 20), PBConstraint.from_pairs(ROW[2:], 15)):
+        r = build(c, store=store)
+        assert_store_level_consumers_agree(r, str(c))
+    assert r.offset == 2 and r.stats.created < len(r.intervals)
