@@ -12,7 +12,6 @@ from .robdd import (
     FALSE_NODE,
     TRUE_NODE,
     NodeStore,
-    count_nodes,
     eval_bdd,
     reachable_nodes,
     to_dot,
@@ -39,19 +38,12 @@ from .encode import (
     encode_ite6,
     encode_monotone,
     encode_small,
-    pipeline_bdd1,
-    pipeline_bdd2,
-    pipeline_bdd3,
-    pipeline_ite6,
     run_pipeline,
 )
 from .propagate import (
     CONFLICT,
     FIXPOINT,
-    Assignment,
-    PropagationResult,
     UnitPropagator,
-    unit_propagate,
 )
 from .verify import (
     Counterexample,

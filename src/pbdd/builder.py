@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .constraints import PBConstraint
 from .intervals import Interval
-from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, count_nodes, reachable_nodes
+from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -134,7 +134,7 @@ class BuildResult:
 
     @property
     def node_count(self) -> int:
-        return count_nodes(self.store, self.root)
+        return len(reachable_nodes(self.store, self.root))
 
     @property
     def root_interval(self) -> Interval:

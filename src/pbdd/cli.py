@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,6 +31,7 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
 CHUNKS_PER_JOB = 4
+SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
 
 
 @dataclass
@@ -236,14 +239,16 @@ def _encode_input(args) -> tuple[list[str], ClauseSet]:
     num_inputs = len(inst.names)
     encode = partial(_encode_chunk, method=args.method, num_inputs=num_inputs,
                      small_naive=args.small_naive, node_budget=args.node_budget)
-    if args.jobs > 1 and len(constraints) >= CHUNKS_PER_JOB * args.jobs:
+    # the pool forks all its workers at the first task, so never more than cores
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1 and len(constraints) >= CHUNKS_PER_JOB * jobs:
         # a few chunks per worker balance the load at a few round trips each;
         # with fewer constraints each chunk is one of them and the largest
         # sets the wall time, so the pool's start-up is not repaid
         from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
 
-        chunks = _chunks(constraints, CHUNKS_PER_JOB * args.jobs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        chunks = _chunks(constraints, CHUNKS_PER_JOB * jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             cs = _assemble(pool.map(encode, chunks), num_inputs)
     else:
         cs = _assemble([encode(constraints)], num_inputs)
@@ -372,10 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default=None, help="write a name<->variable sidecar")
     p.add_argument("--small-naive", type=int, default=0, metavar="N",
                    help="encode constraints with <= N variables by direct "
-                        "clause enumeration instead of a diagram (0 = never)")
+                        "clause enumeration instead of a diagram (0 = never, "
+                        f"at most {SMALL_NAIVE_LIMIT}: the work grows as 2^N)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="encode constraints in parallel worker processes "
-                        f"(in-process below {CHUNKS_PER_JOB} constraints per job)")
+                   help="encode constraints in parallel worker processes, at most "
+                        "one per CPU (in-process below "
+                        f"{CHUNKS_PER_JOB} constraints per job)")
     add_budget(p)
     p.set_defaults(func=cmd_encode)
 
@@ -421,8 +428,11 @@ def main(argv=None) -> int:
             parser.error("verify --max-coeff must be >= 1")
         if args.seeds < 1:
             parser.error("verify --seeds must be >= 1")
-    if args.command == "encode" and args.jobs < 1:
-        parser.error("encode --jobs must be >= 1")
+    if args.command == "encode":
+        if args.jobs < 1:
+            parser.error("encode --jobs must be >= 1")
+        if not 0 <= args.small_naive <= SMALL_NAIVE_LIMIT:
+            parser.error(f"encode --small-naive must be between 0 and {SMALL_NAIVE_LIMIT}")
     if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
         parser.error(f"{args.command} --node-budget must be >= 0")
     if args.command == "gen":
@@ -437,12 +447,15 @@ def main(argv=None) -> int:
                 bailleux_family(args.a, args.b, args.n)
             except ValueError as exc:
                 parser.error(f"gen --family bailleux: {exc}")
-    if getattr(args, "bound_policy", None) is not None:
+    if getattr(args, "bound_policy", "uniform") not in ("uniform", "full"):
         try:
-            args.bound_policy = float(args.bound_policy) \
-                if args.bound_policy not in ("uniform", "full") else args.bound_policy
+            fraction = float(args.bound_policy)
         except ValueError:
-            parser.error(f"bad bound policy {args.bound_policy!r}")
+            fraction = math.nan
+        if not math.isfinite(fraction):
+            parser.error(f"bad bound policy {args.bound_policy!r}: need uniform, "
+                         "full or a finite fraction")
+        args.bound_policy = fraction
     try:
         return args.func(args)
     except OpbParseError as exc:

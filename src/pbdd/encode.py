@@ -7,8 +7,8 @@ ternary clause) and differ in what diagram they encode:
   bdd2 - the BDD of the coefficient-decomposed constraint with every bit
          variable substituted by its original literal (consistent, not
          arc-consistent);
-  bdd3 - one decomposed, consistency-mode encoding per input literal fixed
-         true, wired back with a binary clause per literal (arc-consistent);
+  bdd3 - one decomposed encoding per input literal fixed true, its root
+         implied by that literal through a binary clause (arc-consistent);
          the per-literal builds share one node store per constraint.
 
 `encode_monotone` serves all three.  For a reduced monotone diagram it
@@ -51,11 +51,6 @@ class ClauseSet:
 
     def __post_init__(self):
         self.next_var = self.num_inputs + 1
-
-    def new_var(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
 
     def add(self, lits) -> Clause:
         """Append `lits` without duplicates; ValueError on complementary or unallocated literals.
@@ -153,11 +148,10 @@ def encode_monotone(
 
     For a node n with selector literal x and children f (lo) and t (hi):
     `f' -> n'` and `t' & x -> n'` (primes denote negation).  `root_mode` is
-    "unit" (assert the root), "implies" (add `root | -implied_lit`), or
-    "consistency" (no root clause).  The selector of store level L is
-    `selector_lits[L - 1 - offset]`, `offset` being the build's
-    (`BuildResult.offset`).  Returns the root's auxiliary variable, None
-    for a terminal root.
+    "unit" (assert the root) or "implies" (add `root | -implied_lit`).  The
+    selector of store level L is `selector_lits[L - 1 - offset]`, `offset`
+    being the build's (`BuildResult.offset`).  Returns the root's auxiliary
+    variable, None for a terminal root.
 
     Preconditions: the diagram is reduced (any `NodeStore` diagram is) and
     monotone, and a variable may label several levels but always with the
@@ -179,19 +173,17 @@ def encode_monotone(
     """
     if root_mode == "implies" and implied_lit is None:
         raise ValueError("root_mode='implies' needs implied_lit")
-    if root_mode not in ("unit", "implies", "consistency"):
+    if root_mode not in ("unit", "implies"):
         raise ValueError(f"unknown root_mode {root_mode!r}")
     _check_input_literals(selector_lits, out.num_inputs, "selector literal")
     if root_mode == "implies":
         _check_input_literals((implied_lit,), out.num_inputs, "implied_lit")
     nodes, var_of, _, _ = _node_vars(store, root, out)
-    out.raw_count += 2 * len(nodes) + 2 + (root_mode != "consistency")
+    out.raw_count += 2 * len(nodes) + 3
     append = out.clauses.append
     if root < 2:
-        if root == FALSE_NODE and root_mode == "unit":
-            append(())
-        elif root == FALSE_NODE and root_mode == "implies":
-            append((-implied_lit,))
+        if root == FALSE_NODE:
+            append(() if root_mode == "unit" else (-implied_lit,))
         return None
 
     table = store._nodes
@@ -370,22 +362,6 @@ def run_pipeline(
                 root_mode="implies", implied_lit=t.lit, offset=r.offset,
             )
     return out, builds
-
-
-def pipeline_bdd1(c: PBConstraint, out: ClauseSet | None = None) -> ClauseSet:
-    return run_pipeline("bdd1", c, out)[0]
-
-
-def pipeline_bdd2(c: PBConstraint, out: ClauseSet | None = None) -> ClauseSet:
-    return run_pipeline("bdd2", c, out)[0]
-
-
-def pipeline_bdd3(c: PBConstraint, out: ClauseSet | None = None) -> ClauseSet:
-    return run_pipeline("bdd3", c, out)[0]
-
-
-def pipeline_ite6(c: PBConstraint, out: ClauseSet | None = None) -> ClauseSet:
-    return run_pipeline("ite6", c, out)[0]
 
 
 def encode_small(c: PBConstraint, out: ClauseSet | None = None) -> ClauseSet:

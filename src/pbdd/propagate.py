@@ -13,48 +13,10 @@ propagation per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 FIXPOINT = "fixpoint"
 CONFLICT = "conflict"
-
-
-@dataclass
-class Assignment:
-    """Partial assignment plus the trail of how each literal got set.
-
-    `trail` holds `(literal, antecedent clause index)` pairs; seeds have
-    antecedent None.
-    """
-
-    values: dict[int, bool] = field(default_factory=dict)
-    trail: list[tuple[int, int | None]] = field(default_factory=list)
-
-    def assign(self, lit: int, reason: int | None = None) -> None:
-        var = abs(lit)
-        if self.values.get(var) is not None:
-            raise ValueError(f"x{var} assigned twice")
-        self.values[var] = lit > 0
-        self.trail.append((lit, reason))
-
-    def literals(self) -> list[int]:
-        return [l for l, _ in self.trail]
-
-
-@dataclass
-class PropagationResult:
-    assignment: Assignment
-    status: str  # FIXPOINT or CONFLICT
-    conflict_clause: int | None = None
-
-
-def _seed_literals(seed) -> list[int]:
-    if isinstance(seed, Assignment):
-        return seed.literals()
-    if isinstance(seed, Mapping):
-        return [v if b else -v for v, b in seed.items()]
-    return list(seed)
 
 
 class UnitPropagator:
@@ -153,7 +115,7 @@ class UnitPropagator:
         self._clear()
         if self._empty_clause is not None:
             return CONFLICT, self.values, self.trail, self.reasons, self._empty_clause
-        for lit in _seed_literals(seed):
+        for lit in seed:
             if not self._enqueue(lit, None):
                 raise ValueError(f"contradictory seed literal {lit}")
         conflict = self._start()
@@ -234,19 +196,3 @@ class UnitPropagator:
         self._head = head
         return None
 
-
-def unit_propagate(clauses, seed=()) -> PropagationResult:
-    """One-shot propagation returning a full Assignment with trail.
-
-    `clauses` may be a ClauseSet or any sequence of literal sequences;
-    `seed` an Assignment, a var->bool mapping, or an iterable of literals.
-    """
-    cl = getattr(clauses, "clauses", clauses)
-    seed_lits = _seed_literals(seed)
-    nv = max((abs(l) for l in seed_lits), default=0)
-    engine = UnitPropagator(cl, num_vars=nv)
-    status, values, trail, reasons, conflict = engine.run(seed_lits)
-    assignment = Assignment()
-    for lit, reason in zip(trail, reasons):
-        assignment.assign(lit, reason)
-    return PropagationResult(assignment, status, conflict)

@@ -36,9 +36,6 @@ class NodeStore:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, nid: int) -> bool:
-        return 0 <= nid < len(self._nodes) + 2
-
     def check_children(self, level: int, lo: int, hi: int) -> None:
         """ValueError unless both children exist and lie below `level`."""
         nodes = self._nodes
@@ -124,11 +121,6 @@ def reachable_nodes(store: NodeStore, root: int) -> list[int]:
                 push(hi)
             nid = lo
     return found
-
-
-def count_nodes(store: NodeStore, root: int) -> int:
-    """Number of distinct decision nodes reachable from `root` (terminals excluded)."""
-    return len(reachable_nodes(store, root))
 
 
 def to_dot(store: NodeStore, root: int, level_labels: Sequence[str] | None = None) -> str:

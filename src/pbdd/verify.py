@@ -17,7 +17,7 @@ and the true weight of the path is carried along.  The cost is one
 incremental propagation per step instead of a full propagation per
 assignment.  Subtrees whose verdict is already decided are skipped: below
 an inextensible prefix every assignment stays inextensible, and
-propagation is monotone, so conflicts (and a negated root) persist too.
+propagation is monotone, so conflicts persist too.
 Below a conflicting prefix no further literal is propagated.
 """
 
@@ -107,48 +107,33 @@ def _assignment(path) -> dict[int, bool]:
 def check_consistency(
     c: PBConstraint,
     cnf,
-    mode: str = "conflict",
-    root_var: int | None = None,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> Counterexample | None:
     """Inextensible partial assignments must be detected by propagation.
 
-    mode "conflict": propagation from A must conflict exactly when A cannot
-    be extended to a model of `c` (encodings that assert their root).
-    mode "root": propagation must derive the negation of `root_var` instead
-    (consistency-only encodings, no root unit).  Returns the first
-    violation in enumeration order.
+    Propagation from a partial assignment A must conflict exactly when A
+    cannot be extended to a model of `c`.  Returns the first violation in
+    enumeration order.
     """
     engine, conflict, steps = _walk_setup(c, cnf, limit)
-    if mode == "root" and root_var is None:
-        raise ValueError("mode='root' needs root_var")
-    if mode == "root" and not 1 <= root_var <= engine.num_vars:
-        raise ValueError(f"root_var {root_var} is not a variable of the clauses "
-                         f"or the constraint (1..{engine.num_vars})")
-    if mode not in ("conflict", "root"):
-        raise ValueError(f"unknown mode {mode!r}")
-    values, trail = engine.values, engine.trail
+    trail = engine.trail
     bound = c.bound
-    root_mode = mode == "root"
     n = len(steps)
     path: list[int] = []
 
     def violation(conflict: bool, weight: int) -> str | None:
         """What is wrong with the current path's own assignment, if anything."""
-        root_false = conflict or (root_mode and values[root_var] == 2)
         if weight <= bound:
             if conflict:
                 return "spurious conflict on extendable assignment"
-            if root_false:
-                return "root negated on extendable assignment"
-        elif not root_false:
+        elif not conflict:
             return "inextensible assignment not detected"
         return None
 
     def walk(start: int, weight: int) -> Counterexample | None:
         # Assignments extending the path by variables from `start` on.  The
-        # path itself is extendable and propagates without a conflict (and
-        # without negating the root).  The last free variable varies first.
+        # path itself is extendable and propagates without a conflict.  The
+        # last free variable varies first.
         for j in range(n - 1, start - 1, -1):
             for lit, add in steps[j]:
                 mark = len(trail)

@@ -304,9 +304,11 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
     Store level L tests `selector_lits[L - 1 - offset]`.
     """
     nodes = reference_post_order(store, root)
-    var_of = {nid: out.new_var() for nid in nodes}
-    top = out.new_var()
-    bot = out.new_var()
+    first = out.next_var
+    var_of = {nid: first + k for k, nid in enumerate(nodes)}
+    top = first + len(nodes)
+    bot = top + 1
+    out.next_var = bot + 1
 
     def lit_of(child: int) -> int:
         if child >= 2:
@@ -326,7 +328,7 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
         if implied_lit is None:
             raise ValueError("root_mode='implies' needs implied_lit")
         raw.append([lit_of(root), -implied_lit])
-    elif root_mode != "consistency":
+    else:
         raise ValueError(f"unknown root_mode {root_mode!r}")
 
     out.raw_count += len(raw)
@@ -476,46 +478,27 @@ def _clause_list(cnf):
 def check_consistency_enumerate(
     c: PBConstraint,
     cnf,
-    mode: str = "conflict",
-    root_var: int | None = None,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> Counterexample | None:
     """Inextensible partial assignments must be detected by propagation.
 
-    mode "conflict": propagation from A must conflict exactly when A cannot
-    be extended to a model of `c` (encodings that assert their root).
-    mode "root": propagation must derive the negation of `root_var` instead
-    (consistency-only encodings, no root unit).
+    Propagation from A must conflict exactly when A cannot be extended to
+    a model of `c`.
     """
     n = len(c.terms)
     if n > limit:
         raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
-    if mode == "root" and root_var is None:
-        raise ValueError("mode='root' needs root_var")
-    if mode not in ("conflict", "root"):
-        raise ValueError(f"unknown mode {mode!r}")
     variables = c.variables()
     engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
-    # the argument check of `pbdd.verify.check_consistency`
-    if mode == "root" and not 1 <= root_var <= engine.num_vars:
-        raise ValueError(f"root_var {root_var} is not a variable of the clauses "
-                         f"or the constraint (1..{engine.num_vars})")
     bound = c.bound
     for a in _partial_assignments(variables):
         seed = [v if b else -v for v, b in a.items()]
-        status, values, _, _, _ = engine.run(seed)
-        conflict = status == CONFLICT
-        root_false = conflict or (root_var is not None and values[root_var] == 2)
+        conflict = engine.run(seed)[0] == CONFLICT
         ok = _true_weight(c, a) <= bound  # monotone extendability
-        if ok:
-            if conflict:
-                return Counterexample(a, None, "spurious conflict on extendable assignment")
-            if mode == "root" and root_false:
-                return Counterexample(a, None, "root negated on extendable assignment")
-        else:
-            detected = conflict if mode == "conflict" else root_false
-            if not detected:
-                return Counterexample(a, None, "inextensible assignment not detected")
+        if ok and conflict:
+            return Counterexample(a, None, "spurious conflict on extendable assignment")
+        if not ok and not conflict:
+            return Counterexample(a, None, "inextensible assignment not detected")
     return None
 
 

@@ -84,9 +84,11 @@ def test_encode_multi_constraint_disjoint_aux_ranges(tmp_path):
 def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch):
     # the pool starts only with at least CHUNKS_PER_JOB (4) constraints per job;
     # cmd_encode imports ProcessPoolExecutor from concurrent.futures when it
-    # needs one
+    # needs one.  Four CPUs, so no --jobs here is capped.
     import concurrent.futures
+    import os
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pools = []
 
     def recording_pool(*args, **kwargs):
@@ -109,9 +111,13 @@ def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["bdd1", "bdd3"])
-def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method):
+def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method,
+                                                              monkeypatch):
     # 31 normalized constraints: more than the 4 * 3 + 1 that would give
-    # every chunk a single constraint at --jobs 3
+    # every chunk a single constraint at --jobs 3, which three CPUs let run
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     lines = []
     for i in range(12):
         lines.append(f"+{i + 2} x{i + 1} -{i % 4 + 1} x{i + 2} +3 x{i + 3} "
@@ -138,6 +144,43 @@ def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method):
     assert texts[0] == texts[1] == texts[2]
     body = [l for l in texts[0].splitlines() if l and l[0] not in "cp"]
     assert "0" in body  # the trivially false rows
+
+
+@pytest.mark.parametrize("cpus, jobs, want_pools",
+                         [(2, "1000", [2]), (None, "1000", []), (8, "3", [3])])
+def test_encode_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, want_pools):
+    # a fake pool that records its size and maps in-process, so no process starts
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    path = tmp_path / "many.opb"
+    path.write_text("".join(f"+{i % 5 + 1} x1 +{i % 7 + 2} x2 +3 x{i % 4 + 3} <= {i % 9 + 2} ;\n"
+                            for i in range(40)))
+    texts = []
+    for j in ("1", jobs):
+        out = tmp_path / f"j{j}.cnf"
+        assert main(["encode", "--method", "bdd1", "--in", str(path),
+                     "--out", str(out), "--jobs", j]) == 0
+        texts.append(out.read_text())
+    assert pools == want_pools
+    assert texts[0] == texts[1]
 
 
 def test_encode_empty_input_with_jobs(tmp_path):
@@ -288,6 +331,12 @@ def test_encode_pauses_the_cyclic_collector_only_while_it_runs(tmp_path, monkeyp
     ["encode", "--method", "bdd1", "--in", "any.opb", "--jobs", "-2"],
     ["encode", "--method", "bdd1", "--in", "any.opb", "--node-budget", "-3"],
     ["stats", "--method", "bdd1", "--in", "any.opb", "--node-budget", "-3"],
+    ["gen", "--family", "random", "--n", "3", "--bound-policy", "nan"],
+    ["gen", "--family", "random", "--n", "3", "--bound-policy", "inf"],
+    ["gen", "--family", "random", "--n", "3", "--bound-policy=-inf"],
+    ["gen", "--family", "random", "--n", "3", "--bound-policy", "1e400"],
+    ["encode", "--method", "bdd1", "--in", "any.opb", "--small-naive", "-1"],
+    ["encode", "--method", "bdd1", "--in", "any.opb", "--small-naive", "17"],  # 2^17 subsets
 ])
 def test_bad_numeric_arguments_are_usage_errors(args):
     code, out, err = run_cli(args)

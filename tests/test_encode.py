@@ -18,10 +18,6 @@ from pbdd import (
     encode_monotone,
     encode_small,
     evaluate,
-    pipeline_bdd1,
-    pipeline_bdd2,
-    pipeline_bdd3,
-    pipeline_ite6,
     random_constraint,
     reachable_nodes,
     run_pipeline,
@@ -78,15 +74,15 @@ def clause_sets(cs):
 
 
 def test_golden_bdd1():
-    assert clause_sets(pipeline_bdd1(RUN)) == rename(GOLDEN_BDD1, RENAME_BDD1)
+    assert clause_sets(run_pipeline("bdd1", RUN)[0]) == rename(GOLDEN_BDD1, RENAME_BDD1)
 
 
 def test_golden_bdd2():
-    assert clause_sets(pipeline_bdd2(RUN)) == rename(GOLDEN_BDD2, RENAME_BDD2)
+    assert clause_sets(run_pipeline("bdd2", RUN)[0]) == rename(GOLDEN_BDD2, RENAME_BDD2)
 
 
 def test_golden_bdd3():
-    assert clause_sets(pipeline_bdd3(RUN)) == rename(GOLDEN_BDD3, RENAME_BDD3)
+    assert clause_sets(run_pipeline("bdd3", RUN)[0]) == rename(GOLDEN_BDD3, RENAME_BDD3)
 
 
 def test_decompose_running_example():
@@ -202,9 +198,9 @@ def test_encode_ite6_raw_clause_count():
 def test_trivial_pipelines():
     taut = PBConstraint.from_pairs([(1, 1), (1, 2)], 5)
     unsat = PBConstraint.from_pairs([(2, 1)], -1)
-    for pipe in (pipeline_bdd1, pipeline_bdd2, pipeline_bdd3, pipeline_ite6):
-        assert pipe(taut).clauses == []
-        assert pipe(unsat).clauses == [()]
+    for method in ("bdd1", "bdd2", "bdd3", "ite6"):
+        assert run_pipeline(method, taut)[0].clauses == []
+        assert run_pipeline(method, unsat)[0].clauses == [()]
 
 
 def cnf_models(cs, variables):
@@ -225,8 +221,8 @@ def test_pipelines_equisatisfiable_small_corpus():
             values for values in product((0, 1), repeat=len(variables))
             if evaluate(c, dict(zip(variables, values)))
         }
-        for pipe in (pipeline_bdd1, pipeline_bdd2, pipeline_bdd3, pipeline_ite6):
-            assert cnf_models(pipe(c), variables) == want, (str(c), pipe.__name__)
+        for method in ("bdd1", "bdd2", "bdd3", "ite6"):
+            assert cnf_models(run_pipeline(method, c)[0], variables) == want, (str(c), method)
 
 
 def test_pipelines_handle_negated_literals():
@@ -264,9 +260,10 @@ def test_encode_small_matches_models():
 
 def test_clause_set_allocator_and_dedupe():
     cs = ClauseSet(num_inputs=2)
-    v = cs.new_var()
-    assert v == 3
+    assert cs.next_var == 3
+    cs.next_var += 1
     assert cs.add([1, -2, 1]) == (1, -2)
+    assert cs.add([-3, 2]) == (-3, 2)
     with pytest.raises(ValueError):
         cs.add([1, -1])
     with pytest.raises(ValueError):
@@ -277,8 +274,8 @@ def test_clause_set_allocator_and_dedupe():
 def test_clause_set_checks_survive_optimize_flag():
     # the checks raise rather than assert, so `python -O` keeps them
     code = (
-        "from pbdd import (Assignment, ClauseSet, Interval, LevelStore,\n"
-        "                  NodeStore, combine_child_intervals, encode_monotone)\n"
+        "from pbdd import (ClauseSet, Interval, LevelStore, NodeStore,\n"
+        "                  UnitPropagator, combine_child_intervals, encode_monotone)\n"
         "cs = ClauseSet(num_inputs=2)\n"
         "try:\n"
         "    cs.add([1, -1])\n"
@@ -287,7 +284,7 @@ def test_clause_set_checks_survive_optimize_flag():
         "store = NodeStore()\n"
         "root = store.mk_node(2, store.mk_node(3, 1, 0), 0)\n"
         "for sel, mode, implied in (((1, 2, 3), 'implies', -3), ((1, 0, 2), 'unit', None),\n"
-        "                           ((1, 4, 2), 'unit', None), ((1, -5, 2), 'consistency', None),\n"
+        "                           ((1, 4, 2), 'unit', None), ((1, -5, 2), 'unit', None),\n"
         "                           ((1, 2, 3), 'implies', 0), ((1, 2, 3), 'implies', -4)):\n"
         "    try:\n"
         "        encode_monotone(store, root, sel, ClauseSet(num_inputs=3), mode, implied)\n"
@@ -304,12 +301,10 @@ def test_clause_set_checks_survive_optimize_flag():
         "    combine_child_intervals((1, 1), 1, 3, Interval(5, 6), 3, Interval(0, 1))\n"
         "except ValueError:\n"
         "    print('inconsistent children refused')\n"
-        "a = Assignment()\n"
-        "a.assign(1)\n"
         "try:\n"
-        "    a.assign(-1)\n"
+        "    UnitPropagator([(1, 2)]).run([1, -1])\n"
         "except ValueError:\n"
-        "    print('reassignment refused')\n"
+        "    print('contradictory seed refused')\n"
         "try:\n"
         "    ls.insert(Interval(None, 2), 9)\n"
         "except ValueError:\n"
@@ -321,7 +316,8 @@ def test_clause_set_checks_survive_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "refused", "accepted", *["selector refused"] * 5, "overlap refused",
-        "inconsistent children refused", "reassignment refused", "infinite end refused"]
+        "inconsistent children refused", "contradictory seed refused",
+        "infinite end refused"]
 
 
 def test_count_regression_bounds():

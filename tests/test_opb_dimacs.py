@@ -19,9 +19,6 @@ from pbdd import (
     evaluate,
     normalize,
     parse_opb,
-    pipeline_bdd1,
-    pipeline_bdd3,
-    pipeline_ite6,
     run_pipeline,
     write_dimacs,
     write_opb,
@@ -249,8 +246,7 @@ def per_literal_dimacs(cs, method=None, names=None):
 
 def test_dimacs_templates_match_per_literal_join():
     cs = ClauseSet(num_inputs=12_345)
-    for _ in range(20):
-        cs.new_var()
+    cs.next_var += 20
     for cl in [(), (7,), (-1, 12_345), (10_000, -9_999, 12_346),
                (-12_365, 2, -3, 4), (1, -22, 333, -4_444, 12_000)]:
         cs.add(cl)
@@ -259,8 +255,8 @@ def test_dimacs_templates_match_per_literal_join():
         [(1, 10_001), (1, -12_345), (1, 10_500), (1, -3), (1, 9_999)], 3), cs)
     encode_small(PBConstraint.from_pairs(
         [(2, -11_111), (2, 10_002), (2, 4), (2, -12_000), (3, 5)], 9), cs)
-    pipeline_ite6(PBConstraint.from_pairs([(3, -10_010), (5, 12_001), (4, 7)], 6), cs)
-    pipeline_bdd3(PBConstraint.from_pairs([(3, 10_020), (5, -12_002), (4, 8)], 6), cs)
+    run_pipeline("ite6", PBConstraint.from_pairs([(3, -10_010), (5, 12_001), (4, 7)], 6), cs)
+    run_pipeline("bdd3", PBConstraint.from_pairs([(3, 10_020), (5, -12_002), (4, 8)], 6), cs)
     assert {len(cl) for cl in cs.clauses} >= {0, 1, 2, 3, 4, 5}
     assert any(l < -9_999 for cl in cs.clauses for l in cl)
     names = [f"v{v}" for v in range(1, cs.num_inputs + 1)]
@@ -272,8 +268,7 @@ def test_dimacs_templates_match_per_literal_join():
     rng = random.Random(7)
     for count in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
         cs = ClauseSet(num_inputs=12_345)
-        for _ in range(20):
-            cs.new_var()
+        cs.next_var += 20
         # any int tuple is written as it is, so no complementary-pair check is needed
         cs.clauses = [tuple(rng.choice((-1, 1)) * rng.randint(1, cs.max_var)
                             for _ in range(rng.choice((0, 1, 2, 3, 3, 5))))
@@ -292,7 +287,7 @@ def test_dimacs_templates_match_per_literal_join():
 
 def test_dimacs_text_peak_memory_stays_below_three_texts():
     # the blocks plus the joined text; a str per clause would reach about 6.4 texts
-    cs = pipeline_bdd1(cardinality(320, 160))
+    cs, _ = run_pipeline("bdd1", cardinality(320, 160))
     assert len(cs.clauses) == 51_360
     tracemalloc.start()
     try:
@@ -304,16 +299,16 @@ def test_dimacs_text_peak_memory_stays_below_three_texts():
 
 
 def test_dimacs_running_example_golden():
-    cs = pipeline_bdd1(RUN)
+    cs, _ = run_pipeline("bdd1", RUN)
     text = dimacs_text(cs, method="bdd1", names=["x1", "x2", "x3"])
     with open("tests/golden/running_bdd1.cnf", "r", encoding="utf-8") as fh:
         assert text == fh.read()
 
 
 def test_dimacs_deterministic_and_sink():
-    cs = pipeline_bdd1(RUN)
+    cs, _ = run_pipeline("bdd1", RUN)
     a = dimacs_text(cs, method="bdd1")
-    b = dimacs_text(pipeline_bdd1(RUN), method="bdd1")
+    b = dimacs_text(run_pipeline("bdd1", RUN)[0], method="bdd1")
     assert a == b
     sink = io.StringIO()
     write_dimacs(cs, sink, method="bdd1")

@@ -5,14 +5,10 @@ import pytest
 from pbdd import (
     CONFLICT,
     FIXPOINT,
-    Assignment,
     PBConstraint,
     UnitPropagator,
-    pipeline_bdd2,
-    pipeline_bdd3,
     random_constraint,
     run_pipeline,
-    unit_propagate,
 )
 
 from oracles import reference_unit_propagate, replay_conflict
@@ -21,18 +17,16 @@ RUN = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)
 
 
 def test_chain_propagation():
-    cnf = [(-1, 4), (-4, 5)]
-    res = unit_propagate(cnf, [1])
-    assert res.status == FIXPOINT
-    assert res.assignment.values == {1: True, 4: True, 5: True}
-    assert res.assignment.trail == [(1, None), (4, 0), (5, 1)]
+    status, values, trail, reasons, _ = UnitPropagator([(-1, 4), (-4, 5)]).run([1])
+    assert status == FIXPOINT
+    assert values == bytearray([0, 1, 0, 0, 1, 1])
+    assert list(zip(trail, reasons)) == [(1, None), (4, 0), (5, 1)]
 
 
 def test_gac_wrapper_cnf_derives_forced_literal():
-    cs = pipeline_bdd3(RUN)
-    res = unit_propagate(cs, [1])
-    assert res.status == FIXPOINT
-    lits = res.assignment.literals()
+    cs, _ = run_pipeline("bdd3", RUN)
+    status, _, lits, _, _ = UnitPropagator(cs.clauses).run([1])
+    assert status == FIXPOINT
     # the sub-diagram for "x3 assumed true" is refuted first, then x3 itself
     root_x3 = 14  # auxiliary of that sub-diagram's root (see golden test)
     assert -root_x3 in lits and -3 in lits
@@ -40,42 +34,30 @@ def test_gac_wrapper_cnf_derives_forced_literal():
 
 
 def test_decomposed_cnf_conflicts_on_overfull_assignment():
-    cs = pipeline_bdd2(RUN)
+    cs, _ = run_pipeline("bdd2", RUN)
     engine = UnitPropagator(cs.clauses)
     status, values, trail, reasons, conflict = engine.run([2, 3])
     assert status == CONFLICT
     assert replay_conflict(engine.clauses, [2, 3], trail, reasons, conflict)
 
 
-def test_seed_forms():
-    cnf = [(-1, 2)]
-    by_lits = unit_propagate(cnf, [1])
-    by_map = unit_propagate(cnf, {1: True})
-    seeded = Assignment()
-    seeded.assign(1)
-    by_assignment = unit_propagate(cnf, seeded)
-    for res in (by_lits, by_map, by_assignment):
-        assert res.status == FIXPOINT
-        assert res.assignment.values == {1: True, 2: True}
-
-
 def test_contradictory_seed_rejected():
     with pytest.raises(ValueError):
-        unit_propagate([(1, 2)], [1, -1])
+        UnitPropagator([(1, 2)]).run([1, -1])
 
 
 def test_seed_variable_absent_from_clauses():
-    res = unit_propagate([(1, 2)], [5])
-    assert res.status == FIXPOINT
-    assert res.assignment.values == {5: True}
+    status, values, trail, _, _ = UnitPropagator([(1, 2)], num_vars=5).run([5])
+    assert status == FIXPOINT
+    assert values == bytearray([0, 0, 0, 0, 0, 1]) and trail == [5]
 
 
 def test_initial_units_and_empty_clause():
-    res = unit_propagate([(4,), (-4, -5), (5, 6)], [])
-    assert res.status == FIXPOINT
-    assert res.assignment.values == {4: True, 5: False, 6: True}
-    res = unit_propagate([(1, 2), ()], [1])
-    assert res.status == CONFLICT
+    status, values, _, _, _ = UnitPropagator([(4,), (-4, -5), (5, 6)]).run([])
+    assert status == FIXPOINT
+    assert values == bytearray([0, 0, 0, 0, 1, 2, 1])
+    status, _, _, _, conflict = UnitPropagator([(1, 2), ()]).run([1])
+    assert (status, conflict) == (CONFLICT, 1)
 
 
 def _corpus_cnfs():

@@ -8,10 +8,10 @@ from pbdd import (
     NodeStore,
     PBConstraint,
     build,
-    count_nodes,
     eval_bdd,
     evaluate,
     random_constraint,
+    reachable_nodes,
     to_dot,
 )
 
@@ -67,8 +67,8 @@ def test_eval_bdd_running_example():
 
 def test_count_nodes_examples():
     r = build(RUN)
-    assert count_nodes(r.store, TRUE_NODE) == 0
-    assert count_nodes(r.store, r.root) == 3
+    assert reachable_nodes(r.store, TRUE_NODE) == []
+    assert r.node_count == 3
     # value from the independent build-then-reduce oracle
     card = PBConstraint.from_pairs([(1, 1), (1, 2), (1, 3)], 1)
     assert reduced_node_count(card) == 4

@@ -29,7 +29,6 @@ from pbdd import (
     RawConstraint,
     build,
     cardinality,
-    clause_set_for,
     hosaka_family,
     normalize,
     random_constraint,
@@ -175,19 +174,6 @@ def test_pipelines_match_fixpoint_simplifier(method, monkeypatch):
     monkeypatch.setattr(encode, "encode_ite6", reference_encode_ite6)
     for c, got in zip(constraints, production):
         assert_same_output(got, run_pipeline(method, c)[0], (method, c))
-
-
-def test_encode_monotone_consistency_mode_matches_reference():
-    # the pipelines cover "unit" (bdd1, bdd2) and "implies" (bdd3)
-    for c in corpus():
-        if c.trivially_true or c.trivially_false:
-            continue
-        r = build(c)
-        got, want = clause_set_for(c), clause_set_for(c)
-        roots = (encode.encode_monotone(r.store, r.root, r.level_lits, got, "consistency"),
-                 reference_encode_monotone(r.store, r.root, r.level_lits, want, "consistency"))
-        assert roots[0] == roots[1]
-        assert_same_output(got, want, c)
 
 
 def random_diagram(rng: random.Random, repeat_vars: bool):

@@ -13,9 +13,6 @@ from pbdd import (
     check_level_width,
     decompose,
     extendable,
-    pipeline_bdd1,
-    pipeline_bdd2,
-    pipeline_bdd3,
     random_constraint,
     run_pipeline,
     subset_sum_reachable,
@@ -56,42 +53,29 @@ def test_extendable_respects_limit():
 
 
 def test_check_consistency_running_example():
-    assert check_consistency(RUN, pipeline_bdd1(RUN)) is None
-    assert check_consistency(RUN, pipeline_bdd2(RUN)) is None
-    assert check_consistency(RUN, pipeline_bdd3(RUN)) is None
+    for method in ("bdd1", "bdd2", "bdd3"):
+        assert check_consistency(RUN, run_pipeline(method, RUN)[0]) is None, method
 
 
 def test_check_consistency_flags_broken_cnf():
-    cs = pipeline_bdd1(RUN)
+    cs, _ = run_pipeline("bdd1", RUN)
     # drop the clause that rejects x3 under a full diagram
     broken = [cl for cl in cs.clauses if cl != (-3, -4)]
     assert check_consistency(RUN, broken) is not None
 
 
-def test_check_consistency_root_mode():
-    from pbdd import build, clause_set_for, encode_monotone
-
-    r = build(RUN)
-    out = clause_set_for(RUN)
-    root_var = encode_monotone(r.store, r.root, r.level_lits, out,
-                               root_mode="consistency")
-    assert check_consistency(RUN, out, mode="root", root_var=root_var) is None
-    # conflict mode is wrong for a consistency-only encoding
-    assert check_consistency(RUN, out, mode="conflict") is not None
-
-
 def test_check_gac_verdicts_per_pipeline():
-    assert check_gac(RUN, pipeline_bdd1(RUN)) is None
-    assert check_gac(RUN, pipeline_bdd3(RUN)) is None
-    witness = check_gac(RUN, pipeline_bdd2(RUN))
+    assert check_gac(RUN, run_pipeline("bdd1", RUN)[0]) is None
+    assert check_gac(RUN, run_pipeline("bdd3", RUN)[0]) is None
+    witness = check_gac(RUN, run_pipeline("bdd2", RUN)[0])
     assert witness is not None
     assert witness.assignment == {1: True}
     assert witness.variable == 3
 
 
 def test_check_gac_witness_is_deterministic():
-    first = check_gac(RUN, pipeline_bdd2(RUN))
-    second = check_gac(RUN, pipeline_bdd2(RUN))
+    first = check_gac(RUN, run_pipeline("bdd2", RUN)[0])
+    second = check_gac(RUN, run_pipeline("bdd2", RUN)[0])
     assert (first.assignment, first.variable) == (second.assignment, second.variable)
 
 
@@ -101,7 +85,7 @@ def test_bdd2_gac_failure_needs_awkward_coefficient():
     found_witness = False
     for seed in range(60):
         c = random_constraint(seed, seed % 5 + 2, 12, "uniform")
-        cs = pipeline_bdd2(c)
+        cs, _ = run_pipeline("bdd2", c)
         bad = check_gac(c, cs)
         if bad is not None:
             found_witness = True
@@ -110,13 +94,11 @@ def test_bdd2_gac_failure_needs_awkward_coefficient():
 
 
 def test_ite6_consistent_but_not_arc_consistent():
-    from pbdd import pipeline_ite6
-
     # the six-clause translation detects dead ends but cannot push forced
     # literals through unassigned selectors: with nothing assigned, 20 > 19
     # forces ~x2, yet neither branch of x1 is propagated
     c = PBConstraint.from_pairs([(16, 1), (20, 2), (7, 3), (26, 4), (31, 5)], 19)
-    cs = pipeline_ite6(c)
+    cs, _ = run_pipeline("ite6", c)
     assert check_consistency(c, cs) is None
     witness = check_gac(c, cs)
     assert witness is not None and witness.assignment == {}
@@ -218,10 +200,10 @@ def _outcome(check, *args, **kwargs):
     return None if ce is None else (ce.assignment, ce.variable, ce.detail)
 
 
-def _same_verdicts(c, clauses, **consistency_args):
+def _same_verdicts(c, clauses):
     """Both checkers agree with their oracles; returns (consistency, GAC)."""
-    new = _outcome(check_consistency, c, clauses, **consistency_args)
-    assert new == _outcome(check_consistency_enumerate, c, clauses, **consistency_args)
+    new = _outcome(check_consistency, c, clauses)
+    assert new == _outcome(check_consistency_enumerate, c, clauses)
     gac = _outcome(check_gac, c, clauses)
     assert gac == _outcome(check_gac_enumerate, c, clauses)
     return new, gac
@@ -251,29 +233,10 @@ def test_walk_matches_enumeration_on_seeded_corpus(method):
     assert witnesses > 0  # dropped clauses do produce counterexamples
 
 
-def test_walk_matches_enumeration_in_root_mode():
-    from pbdd import clause_set_for, encode_monotone
-
-    rng = random.Random(8)
-    witnesses = 0
-    for seed in range(30):
-        c = random_constraint(seed, seed % 6 + 1, 60, "uniform")
-        r = build(c)
-        out = clause_set_for(c)
-        root_var = encode_monotone(r.store, r.root, r.level_lits, out,
-                                   root_mode="consistency")
-        for clauses in [out.clauses, *_drop_one(out.clauses, rng, 3)]:
-            new, _ = _same_verdicts(c, clauses, mode="root", root_var=root_var)
-            witnesses += new is not None
-            # conflict mode is wrong for this encoding whenever A is inextensible
-            _same_verdicts(c, clauses)
-    assert witnesses > 0
-
-
 def test_walk_matches_enumeration_on_degenerate_cnfs():
     for bound in (-1, 0, 4, 6, 10):
         c = PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], bound)
-        clauses = pipeline_bdd1(c).clauses
+        clauses = run_pipeline("bdd1", c)[0].clauses
         cases = [
             [],
             [()],                     # empty clause
@@ -289,31 +252,22 @@ def test_walk_matches_enumeration_on_degenerate_cnfs():
         empty = PBConstraint.from_pairs([], bound)  # zero terms
         for clauses in ([], [()], [(1,)], [(-1,)], [(1,), (-1,)]):
             _same_verdicts(empty, clauses)
-            _same_verdicts(empty, clauses, mode="root", root_var=1)
 
 
 def test_gac_walk_continues_below_a_conflict():
     # x1 alone conflicts, but {x1} forces nothing (4 + 4 <= 8); the first
     # violation is further down, at {x1, x3}, which forces ~x2
     c = PBConstraint.from_pairs([(4, 1), (4, 2), (4, 3)], 8)
-    clauses = pipeline_bdd1(c).clauses + [(-1, 9), (-1, -9)]
+    clauses = run_pipeline("bdd1", c)[0].clauses + [(-1, 9), (-1, -9)]
     _, gac = _same_verdicts(c, clauses)
     assert gac == ({1: True, 3: True}, None, "spurious conflict on extendable assignment")
 
 
 def test_walk_keeps_errors():
-    with pytest.raises(ValueError):
-        check_consistency(RUN, [], mode="root")
-    with pytest.raises(ValueError):
-        check_consistency(RUN, [], mode="nope")
     big = PBConstraint.from_pairs([(1, v) for v in range(1, 10)], 3)
     for check in (check_consistency, check_gac):
         with pytest.raises(ValueError, match="enumeration limit"):
             check(big, [])
-    two = PBConstraint.from_pairs([(2, 1), (3, 2)], 4)
-    for root_var in (9, 0, -1):  # outside the 2 variables
-        with pytest.raises(ValueError, match=f"root_var {root_var} "):
-            check_consistency(two, [(1, 2)], mode="root", root_var=root_var)
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,9 +280,8 @@ def test_walk_keeps_errors():
     ),
     method=st.sampled_from(["bdd1", "bdd2", "bdd3", "ite6", None]),
     drop=st.integers(0, 200),
-    root=st.integers(0, 100),
 )
-def test_hypothesis_walk_matches_enumeration(coefs, bound, clauses, method, drop, root):
+def test_hypothesis_walk_matches_enumeration(coefs, bound, clauses, method, drop):
     c = PBConstraint.from_pairs(
         [(a, v if positive else -v) for v, (a, positive) in enumerate(coefs, 1)],
         bound,
@@ -338,7 +291,4 @@ def test_hypothesis_walk_matches_enumeration(coefs, bound, clauses, method, drop
         if clauses and drop < 2 * len(clauses):
             clauses = clauses[:drop % len(clauses)] + clauses[drop % len(clauses) + 1:]
     _same_verdicts(c, clauses)
-    used = sorted({abs(l) for cl in clauses for l in cl} | set(c.variables()))
-    if used:
-        _same_verdicts(c, clauses, mode="root", root_var=used[root % len(used)])
 
