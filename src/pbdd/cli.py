@@ -1,7 +1,7 @@
 """Command-line front end: encode, stats, verify, gen, equiv.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 parse or
-input error, 4 node budget exceeded.
+input error or a closed standard output, 4 node budget exceeded.
 """
 
 from __future__ import annotations
@@ -12,17 +12,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 from .builder import NodeBudgetExceeded, level_widths
-from .robdd import reachable_nodes
 from .constraints import PBConstraint, normalize
 from .dimacs import dimacs_text
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
 from .families import bailleux_family, hosaka_family, random_constraint
 from .opb import Instance, OpbParseError, parse_opb, write_opb
-from .verify import DEFAULT_EXTEND_LIMIT, check_consistency, check_equivalent, check_gac
+from .verify import check_consistency, check_equivalent, check_gac
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -32,105 +30,7 @@ EXIT_BUDGET = 4
 
 CHUNKS_PER_JOB = 4
 SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
-
-
-@dataclass
-class ReportRow:
-    index: int
-    constraint: str
-    inputs: int
-    aux: int
-    binary: int
-    ternary: int
-    other: int
-    clauses: int
-    nodes: int        # decision nodes only
-    nodes_total: int  # including reachable terminals
-    build_ms: float
-    widths: list[list[int]] = field(default_factory=list)
-
-    def widths_str(self) -> str:
-        return "|".join(",".join(str(w) for w in ws) for ws in self.widths) or "-"
-
-
-@dataclass
-class EncodingReport:
-    """Per-constraint and total encoding statistics."""
-
-    method: str
-    rows: list[ReportRow] = field(default_factory=list)
-
-    def totals(self):
-        rows = self.rows
-        return (
-            sum(r.aux for r in rows),
-            sum(r.binary for r in rows),
-            sum(r.ternary for r in rows),
-            sum(r.other for r in rows),
-            sum(r.clauses for r in rows),
-            sum(r.nodes for r in rows),
-            sum(r.nodes_total for r in rows),
-            sum(r.build_ms for r in rows),
-        )
-
-    def table(self) -> str:
-        head = f"{'#':>3} {'inputs':>6} {'aux':>6} {'bin':>6} {'tern':>6} " \
-               f"{'other':>6} {'clauses':>8} {'nodes':>7} {'nodes+t':>7} " \
-               f"{'ms':>8}  constraint"
-        lines = [f"method: {self.method}", head]
-        for r in self.rows:
-            lines.append(
-                f"{r.index:>3} {r.inputs:>6} {r.aux:>6} {r.binary:>6} {r.ternary:>6} "
-                f"{r.other:>6} {r.clauses:>8} {r.nodes:>7} {r.nodes_total:>7} "
-                f"{r.build_ms:>8.2f}  {r.constraint}"
-            )
-        aux, binary, ternary, other, clauses, nodes, nodes_total, ms = self.totals()
-        lines.append(
-            f"{'sum':>3} {'':>6} {aux:>6} {binary:>6} {ternary:>6} "
-            f"{other:>6} {clauses:>8} {nodes:>7} {nodes_total:>7} {ms:>8.2f}"
-        )
-        return "\n".join(lines)
-
-    def machine_rows(self) -> str:
-        lines = []
-        for r in self.rows:
-            lines.append(
-                "row\t" + "\t".join(
-                    str(x) for x in (
-                        self.method, r.index, r.inputs, r.aux, r.binary, r.ternary,
-                        r.other, r.clauses, r.nodes, r.nodes_total,
-                        f"{r.build_ms:.3f}", r.widths_str(),
-                    )
-                )
-            )
-        return "\n".join(lines)
-
-
-def _node_counts(builds) -> tuple[int, int]:
-    """Decision-node count and the count including reachable terminals."""
-    decision = 0
-    total = 0
-    for r in builds:
-        nodes = reachable_nodes(r.store, r.root)
-        decision += len(nodes)
-        terminals = {r.root} if r.root < 2 else set()
-        for nid in nodes:
-            _, lo, hi = r.store.node(nid)
-            terminals.update(ch for ch in (lo, hi) if ch < 2)
-        total += len(nodes) + len(terminals)
-    return decision, total
-
-
-def _clause_histogram(clauses) -> tuple[int, int, int]:
-    binary = ternary = other = 0
-    for cl in clauses:
-        if len(cl) == 2:
-            binary += 1
-        elif len(cl) == 3:
-            ternary += 1
-        else:
-            other += 1
-    return binary, ternary, other
+VERIFY_MAX_N = 14  # verify checks all 3^n partial assignments of a constraint
 
 
 def _encode_chunk(chunk: list[PBConstraint], method: str, num_inputs: int,
@@ -255,32 +155,47 @@ def _encode_input(args) -> tuple[list[str], ClauseSet]:
     return inst.names, cs
 
 
+STATS_COLUMNS = (("aux", 6), ("bin", 6), ("tern", 6), ("other", 6), ("clauses", 8),
+                 ("nodes", 7), ("nodes+t", 7))
+
+
+def _stats_cells(counts, ms: float) -> str:
+    return " ".join(f"{n:>{w}}" for n, (_, w) in zip(counts, STATS_COLUMNS)) + f" {ms:>8.2f}"
+
+
 def cmd_stats(args) -> int:
+    """A table row per constraint and a sum line, then a tab-separated `row` line each.
+
+    Decision nodes are the builds' level widths summed.  Every build
+    `run_pipeline` returns is of a constraint neither trivially true nor
+    false, a function that is not constant, so its reduced diagram reaches
+    both terminals: `nodes+t` adds two per build.
+    """
     inst, constraints = _load_constraints(args.infile)
-    report = EncodingReport(method=args.method)
+    head = " ".join(f"{name:>{w}}" for name, w in (("#", 3), ("inputs", 6), *STATS_COLUMNS))
+    table = [f"method: {args.method}", f"{head} {'ms':>8}  constraint"]
+    rows = []
+    sums, ms_sum = [0] * len(STATS_COLUMNS), 0.0
     for idx, c in enumerate(constraints, 1):
         out = ClauseSet(num_inputs=len(inst.names))
         start = time.perf_counter()
         _, builds = run_pipeline(args.method, c, out, node_budget=args.node_budget)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        binary, ternary, other = _clause_histogram(out.clauses)
-        nodes, nodes_total = _node_counts(builds)
-        report.rows.append(ReportRow(
-            index=idx,
-            constraint=str(c),
-            inputs=len(c.terms),
-            aux=len(out.live_aux_vars()),
-            binary=binary,
-            ternary=ternary,
-            other=other,
-            clauses=len(out.clauses),
-            nodes=nodes,
-            nodes_total=nodes_total,
-            build_ms=elapsed,
-            widths=[level_widths(r) for r in builds],
-        ))
-    print(report.table())
-    print(report.machine_rows())
+        ms = (time.perf_counter() - start) * 1000.0
+        widths = [level_widths(r) for r in builds]
+        nodes = sum(map(sum, widths))
+        lengths = [len(cl) for cl in out.clauses]
+        binary, ternary = lengths.count(2), lengths.count(3)
+        counts = (len(out.live_aux_vars()), binary, ternary,
+                  len(lengths) - binary - ternary, len(lengths), nodes, nodes + 2 * len(builds))
+        sums = [a + b for a, b in zip(sums, counts)]
+        ms_sum += ms
+        table.append(f"{idx:>3} {len(c.terms):>6} {_stats_cells(counts, ms)}  {c}")
+        rows.append("\t".join(map(str, (
+            "row", args.method, idx, len(c.terms), *counts, f"{ms:.3f}",
+            "|".join(",".join(map(str, ws)) for ws in widths) or "-"))))
+    table.append(f"{'sum':>3} {'':>6} {_stats_cells(sums, ms_sum)}")
+    print("\n".join(table))
+    print("\n".join(rows))
     return EXIT_OK
 
 
@@ -358,6 +273,34 @@ def cmd_equiv(args) -> int:
     return EXIT_OK
 
 
+def _int_range(low: int, high: int | None = None):
+    """An argparse `type`: an int from `low` up to `high` (no upper end when None)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}" if high is None else f"must be between {low} and {high}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _bound_policy(text: str) -> str | float:
+    """An argparse `type`: "uniform", "full" or a finite fraction."""
+    if text in ("uniform", "full"):
+        return text
+    try:
+        fraction = float(text)
+    except ValueError:
+        fraction = math.nan
+    if not math.isfinite(fraction):
+        raise argparse.ArgumentTypeError(
+            f"bad bound policy {text!r}: need uniform, full or a finite fraction")
+    return fraction
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbdd",
@@ -366,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--node-budget", type=int, default=None,
+        p.add_argument("--node-budget", type=_int_range(0), default=None,
                        help="abort when a constraint's diagrams need more than "
                             "this many nodes")
 
@@ -375,11 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None, help="output CNF path (default stdout)")
     p.add_argument("--map", default=None, help="write a name<->variable sidecar")
-    p.add_argument("--small-naive", type=int, default=0, metavar="N",
+    p.add_argument("--small-naive", type=_int_range(0, SMALL_NAIVE_LIMIT), default=0,
+                   metavar="N",
                    help="encode constraints with <= N variables by direct "
                         "clause enumeration instead of a diagram (0 = never, "
                         f"at most {SMALL_NAIVE_LIMIT}: the work grows as 2^N)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_range(1), default=1,
                    help="encode constraints in parallel worker processes, at most "
                         "one per CPU (in-process below "
                         f"{CHUNKS_PER_JOB} constraints per job)")
@@ -394,19 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="property-check a pipeline on random constraints")
     p.add_argument("--method", choices=PIPELINES, required=True)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--max-coeff", type=int, default=100)
+    p.add_argument("--max-n", type=_int_range(1, VERIFY_MAX_N), default=6)
+    p.add_argument("--seeds", type=_int_range(1), default=20)
+    p.add_argument("--max-coeff", type=_int_range(1), default=100)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a constraint family as OPB")
     p.add_argument("--family", choices=("hosaka", "bailleux", "random"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_range(1), required=True)
     p.add_argument("--a", type=int, default=None, help="bailleux base weight")
     p.add_argument("--b", type=int, default=None, help="bailleux growth base")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-coeff", type=int, default=100)
-    p.add_argument("--bound-policy", default="uniform")
+    p.add_argument("--bound-policy", type=_bound_policy, default="uniform")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -420,24 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        # 3^n partial assignments per check: the same limit as `extendable`
-        if not 1 <= args.max_n <= DEFAULT_EXTEND_LIMIT:
-            parser.error(f"verify --max-n must be between 1 and {DEFAULT_EXTEND_LIMIT}")
-        if args.max_coeff < 1:
-            parser.error("verify --max-coeff must be >= 1")
-        if args.seeds < 1:
-            parser.error("verify --seeds must be >= 1")
-    if args.command == "encode":
-        if args.jobs < 1:
-            parser.error("encode --jobs must be >= 1")
-        if not 0 <= args.small_naive <= SMALL_NAIVE_LIMIT:
-            parser.error(f"encode --small-naive must be between 0 and {SMALL_NAIVE_LIMIT}")
-    if getattr(args, "node_budget", None) is not None and args.node_budget < 0:
-        parser.error(f"{args.command} --node-budget must be >= 0")
     if args.command == "gen":
-        if args.n < 1:
-            parser.error("gen --n must be >= 1")
         if args.family == "random" and args.max_coeff < 1:
             parser.error("gen --max-coeff must be >= 1")
         if args.family == "bailleux":
@@ -447,22 +374,23 @@ def main(argv=None) -> int:
                 bailleux_family(args.a, args.b, args.n)
             except ValueError as exc:
                 parser.error(f"gen --family bailleux: {exc}")
-    if getattr(args, "bound_policy", "uniform") not in ("uniform", "full"):
-        try:
-            fraction = float(args.bound_policy)
-        except ValueError:
-            fraction = math.nan
-        if not math.isfinite(fraction):
-            parser.error(f"bad bound policy {args.bound_policy!r}: need uniform, "
-                         "full or a finite fraction")
-        args.bound_policy = fraction
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here rather than at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout (`| head`); what is still buffered goes
+        # to devnull at exit, so the last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write to standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     except OpbParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
-        if exc.filename is None:  # not a file that failed to open, e.g. a broken pipe
+        if exc.filename is None:  # not a file that failed to open
             raise
         print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE

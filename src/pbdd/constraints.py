@@ -23,10 +23,6 @@ class Term(NamedTuple):
     def var(self) -> int:
         return abs(self.lit)
 
-    @property
-    def positive(self) -> bool:
-        return self.lit > 0
-
 
 @dataclass(frozen=True)
 class PBConstraint:

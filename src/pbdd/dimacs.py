@@ -20,13 +20,12 @@ class _Templates(dict):
 def dimacs_text(
     cs: ClauseSet,
     method: str | None = None,
-    seed: int | None = None,
     names: Sequence[str] | None = None,
 ) -> str:
     """Render a clause set as DIMACS.
 
-    Comment lines record the encoding method, the corpus seed if any, and
-    one `c map <name> = <cnfvar>` line per input variable.  Output is
+    Comment lines record the encoding method, if given, and one
+    `c map <name> = <cnfvar>` line per input variable.  Output is
     byte-identical across runs for the same input.  Each clause (a tuple
     of ints, as `ClauseSet` holds them) is formatted with one `%d`
     template per clause length, and every `BLOCK` clauses are joined into
@@ -36,8 +35,6 @@ def dimacs_text(
     lines = []
     if method is not None:
         lines.append(f"c method {method}\n")
-    if seed is not None:
-        lines.append(f"c seed {seed}\n")
     for v in range(1, cs.num_inputs + 1):
         name = names[v - 1] if names else f"x{v}"
         lines.append(f"c map {name} = {v}\n")

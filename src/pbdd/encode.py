@@ -140,29 +140,29 @@ def encode_monotone(
     root: int,
     selector_lits,
     out: ClauseSet,
-    root_mode: str = "unit",
     implied_lit: int | None = None,
     offset: int = 0,
 ) -> int | None:
     """Two clauses per node for a diagram of a monotone decreasing function.
 
     For a node n with selector literal x and children f (lo) and t (hi):
-    `f' -> n'` and `t' & x -> n'` (primes denote negation).  `root_mode` is
-    "unit" (assert the root) or "implies" (add `root | -implied_lit`).  The
-    selector of store level L is `selector_lits[L - 1 - offset]`, `offset`
-    being the build's (`BuildResult.offset`).  Returns the root's auxiliary
-    variable, None for a terminal root.
+    `f' -> n'` and `t' & x -> n'` (primes denote negation).  The root is
+    asserted as a unit, or, given `implied_lit`, added as the clause
+    `root | -implied_lit`.  The selector of store level L is
+    `selector_lits[L - 1 - offset]`, `offset` being the build's
+    (`BuildResult.offset`).  Returns the root's auxiliary variable, None
+    for a terminal root.
 
     Preconditions: the diagram is reduced (any `NodeStore` diagram is) and
     monotone, and a variable may label several levels but always with the
     same polarity.  Then no lo edge goes to FALSE and no hi edge to TRUE
     (ValueError otherwise).  A TRUE lo child drops the lo clause and a
-    FALSE hi child shortens the hi clause to `x -> n'`.  In "unit" mode the
-    only units are the root, then per lo-chain node its lo child and its
-    `x'` when hi is FALSE and `x'` is new; the other clauses follow in node
-    order, without those a unit satisfies and without negated chain nodes.
-    This is the rescan-to-fixpoint simplification of the raw clauses with
-    two terminal helpers, whose count goes to `out.raw_count`.
+    FALSE hi child shortens the hi clause to `x -> n'`.  With the root a
+    unit, the only units are the root, then per lo-chain node its lo child
+    and its `x'` when hi is FALSE and `x'` is new; the other clauses follow
+    in node order, without those a unit satisfies and without negated chain
+    nodes.  This is the rescan-to-fixpoint simplification of the raw
+    clauses with two terminal helpers, whose count goes to `out.raw_count`.
 
     The selector literals and `implied_lit` must be nonzero with their
     variables in 1..`out.num_inputs` (ValueError), checked once per
@@ -171,26 +171,22 @@ def encode_monotone(
     variables, so it can neither repeat a variable nor hold a
     complementary pair, and `ClauseSet.add` would pass it unchanged.
     """
-    if root_mode == "implies" and implied_lit is None:
-        raise ValueError("root_mode='implies' needs implied_lit")
-    if root_mode not in ("unit", "implies"):
-        raise ValueError(f"unknown root_mode {root_mode!r}")
     _check_input_literals(selector_lits, out.num_inputs, "selector literal")
-    if root_mode == "implies":
+    if implied_lit is not None:
         _check_input_literals((implied_lit,), out.num_inputs, "implied_lit")
     nodes, var_of, _, _ = _node_vars(store, root, out)
     out.raw_count += 2 * len(nodes) + 3
     append = out.clauses.append
     if root < 2:
         if root == FALSE_NODE:
-            append(() if root_mode == "unit" else (-implied_lit,))
+            append(() if implied_lit is None else (-implied_lit,))
         return None
 
     table = store._nodes
     first = offset + 1
     chain: set[int] = set()
     forced: set[int] = set()
-    if root_mode == "unit":
+    if implied_lit is None:
         append((var_of[root],))
         nid = root
         while nid >= 2:
@@ -221,7 +217,7 @@ def encode_monotone(
             append((nx, nn))
         else:
             append((var_of[hi], nx) if nid in chain else (var_of[hi], nx, nn))
-    if root_mode == "implies":
+    if implied_lit is not None:
         append((var_of[root], -implied_lit))
     return var_of[root]
 
@@ -324,7 +320,7 @@ def run_pipeline(
     if method == "bdd1":
         r = build(c, node_budget=node_budget)
         builds.append(r)
-        encode_monotone(r.store, r.root, r.level_lits, out, root_mode="unit")
+        encode_monotone(r.store, r.root, r.level_lits, out)
     elif method == "ite6":
         r = build(c, node_budget=node_budget)
         builds.append(r)
@@ -335,7 +331,7 @@ def run_pipeline(
         builds.append(r)
         # substituting original literals for the bit variables happens in
         # the selector map; the diagram itself is left untouched
-        encode_monotone(r.store, r.root, d.bit_literals, out, root_mode="unit")
+        encode_monotone(r.store, r.root, d.bit_literals, out)
     else:  # bdd3
         # one store for the per-literal builds, framed by the bit count of
         # c's own decomposition, which bounds each of theirs; the node
@@ -343,9 +339,8 @@ def run_pipeline(
         store = NodeStore(depth=sum(t.coef.bit_count() for t in c.terms))
         for idx, t in enumerate(c.terms):
             rest = c.terms[:idx] + c.terms[idx + 1 :]
+            # trivially true only if c is, which `_trivial` has returned on
             ci = PBConstraint(rest, c.bound - t.coef)
-            if ci.trivially_true:
-                continue
             if ci.trivially_false:
                 out.add((-t.lit,))
                 continue
@@ -358,8 +353,7 @@ def run_pipeline(
                     f"constraint exceeded node budget of {node_budget}") from None
             builds.append(r)
             encode_monotone(
-                r.store, r.root, d.bit_literals, out,
-                root_mode="implies", implied_lit=t.lit, offset=r.offset,
+                r.store, r.root, d.bit_literals, out, implied_lit=t.lit, offset=r.offset,
             )
     return out, builds
 

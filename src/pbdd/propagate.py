@@ -108,16 +108,20 @@ class UnitPropagator:
         Returns `(status, values, trail, reasons, conflict_clause)` where
         `values[v]` is 0 unassigned / 1 true / 2 false.  The trail holds
         the seeds, then the unit clauses, then derived literals in queue
-        order.  Contradictory seeds raise ValueError; the fixpoint itself
-        is unique regardless of processing order.  The result becomes the
+        order.  A seed literal 0 or of a variable above `num_vars`, and
+        contradictory seeds, raise ValueError; the fixpoint itself is
+        unique regardless of processing order.  The result becomes the
         engine's state, which `assume`/`backtrack` may continue from.
         """
         self._clear()
-        if self._empty_clause is not None:
-            return CONFLICT, self.values, self.trail, self.reasons, self._empty_clause
         for lit in seed:
+            if not 0 < abs(lit) <= self.num_vars:
+                raise ValueError(f"seed literal {lit} is not a literal of a variable "
+                                 f"1..{self.num_vars}")
             if not self._enqueue(lit, None):
                 raise ValueError(f"contradictory seed literal {lit}")
+        if self._empty_clause is not None:
+            return CONFLICT, self.values, self.trail, self.reasons, self._empty_clause
         conflict = self._start()
         status = FIXPOINT if conflict is None else CONFLICT
         return status, self.values, self.trail, self.reasons, conflict

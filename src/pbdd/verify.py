@@ -32,7 +32,6 @@ from .encode import Decomposition
 from .propagate import UnitPropagator
 from .robdd import NodeStore
 
-DEFAULT_EXTEND_LIMIT = 14
 DEFAULT_ENUM_LIMIT = 8  # 3^8 = 6561 partial assignments per clause set
 
 
@@ -62,19 +61,13 @@ def _true_weight(c: PBConstraint, assignment: Mapping[int, bool]) -> int:
     return total
 
 
-def extendable(
-    c: PBConstraint,
-    assignment: Mapping[int, bool],
-    limit: int = DEFAULT_EXTEND_LIMIT,
-) -> bool:
+def extendable(c: PBConstraint, assignment: Mapping[int, bool]) -> bool:
     """Can `assignment` be extended to a total assignment satisfying `c`?
 
     Setting every unassigned literal false is the cheapest extension of a
     normalized constraint, so the answer is whether the true weight of the
     assignment is within the bound.
     """
-    if len(c.terms) > limit:
-        raise ValueError(f"constraint has {len(c.terms)} variables, limit is {limit}")
     return _true_weight(c, assignment) <= c.bound
 
 

@@ -34,7 +34,9 @@ from pbdd.encode import decompose, encode_monotone
 from pbdd.intervals import Interval
 from pbdd.propagate import CONFLICT, UnitPropagator
 from pbdd.robdd import NodeStore, TRUE_NODE
-from pbdd.verify import DEFAULT_ENUM_LIMIT, DEFAULT_EXTEND_LIMIT, Counterexample
+from pbdd.verify import DEFAULT_ENUM_LIMIT, Counterexample
+
+EXTEND_ENUM_LIMIT = 14  # extendable_enumerate tries all 2^k completions
 
 
 def reduced_node_count(c: PBConstraint, order=None) -> int:
@@ -289,17 +291,16 @@ def reference_bdd3(c: PBConstraint, out) -> None:
             continue
         d = decompose(ci)
         r = build(d.decomposed)
-        encode_monotone(r.store, r.root, d.bit_literals, out,
-                        root_mode="implies", implied_lit=t.lit)
+        encode_monotone(r.store, r.root, d.bit_literals, out, implied_lit=t.lit)
 
 
-def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit,
-                   offset=0):
+def reference_emit(store, root, selector_lits, out, per_node, implied_lit, offset=0):
     """The original emitter: raw clauses with two terminal helpers, then simplified.
 
     Allocates one auxiliary variable per reachable node in post-order plus
     the TRUE and FALSE helpers, emits `per_node(n, x, lo, hi)` for every
-    node, the helper units and the root clause, counts them into
+    node, the helper units and the root clause (a unit, or
+    `root | -implied_lit` given `implied_lit`), counts them into
     `out.raw_count`, and adds the `unit_simplify_fixpoint` result to `out`.
     Store level L tests `selector_lits[L - 1 - offset]`.
     """
@@ -322,14 +323,10 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
         raw.extend(per_node(var_of[nid], x, lit_of(lo), lit_of(hi)))
     raw.append([top])
     raw.append([-bot])
-    if root_mode == "unit":
+    if implied_lit is None:
         raw.append([lit_of(root)])
-    elif root_mode == "implies":
-        if implied_lit is None:
-            raise ValueError("root_mode='implies' needs implied_lit")
-        raw.append([lit_of(root), -implied_lit])
     else:
-        raise ValueError(f"unknown root_mode {root_mode!r}")
+        raw.append([lit_of(root), -implied_lit])
 
     out.raw_count += len(raw)
     for cl in unit_simplify_fixpoint(raw, {top: True, bot: False}):
@@ -338,13 +335,13 @@ def reference_emit(store, root, selector_lits, out, per_node, root_mode, implied
 
 
 def reference_encode_monotone(store, root, selector_lits, out,
-                              root_mode="unit", implied_lit=None, offset=0):
+                              implied_lit=None, offset=0):
     """`encode_monotone` by raw emission and the fixpoint simplifier."""
 
     def per_node(nvar, x, lo_lit, hi_lit):
         return [[lo_lit, -nvar], [hi_lit, -x, -nvar]]
 
-    return reference_emit(store, root, selector_lits, out, per_node, root_mode, implied_lit,
+    return reference_emit(store, root, selector_lits, out, per_node, implied_lit,
                           offset)
 
 
@@ -361,7 +358,7 @@ def reference_encode_ite6(store, root, selector_lits, out):
             [-f, -t, nvar],
         ]
 
-    return reference_emit(store, root, selector_lits, out, per_node, "unit", None)
+    return reference_emit(store, root, selector_lits, out, per_node, None)
 
 
 def cnf_model_set_matches(c: PBConstraint, clauses, engine=None) -> bool:
@@ -447,7 +444,7 @@ def _true_weight(c: PBConstraint, assignment: Mapping[int, bool]) -> int:
 def extendable_enumerate(
     c: PBConstraint,
     assignment: Mapping[int, bool],
-    limit: int = DEFAULT_EXTEND_LIMIT,
+    limit: int = EXTEND_ENUM_LIMIT,
 ) -> bool:
     """Can `assignment` be extended to a total assignment satisfying `c`?
 

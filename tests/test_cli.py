@@ -1,3 +1,5 @@
+import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pbdd.cli import main
+from pbdd.encode import PIPELINES
 
 GOLDEN = Path(__file__).parent / "golden"
 RUN_OPB = "* running example\n+2 x1 +3 x2 +5 x3 <= 6 ;\n"
@@ -211,6 +214,70 @@ def test_stats_reports_rows(run_opb, capsys):
     # decision nodes, nodes incl. terminals
     assert fields[1:11] == ["bdd1", "1", "3", "3", "3", "0", "2", "5", "3", "5"]
     assert fields[12] == "1,1,1"
+
+
+def _mask_ms(text):
+    # build times are the only decimals in stats output
+    return re.sub(r"\s+\d+\.\d+", " ms", text)
+
+
+@pytest.mark.parametrize("method", PIPELINES)
+@pytest.mark.parametrize("name", ["mixed", "empty"])
+def test_stats_matches_golden(name, method, capsys):
+    # stats_mixed.opb holds an equality, negative coefficients, a trivially
+    # true and a trivially false row; the empty file ends in a blank line
+    assert main(["stats", "--method", method, "--in", str(GOLDEN / f"stats_{name}.opb")]) == 0
+    got = _mask_ms(capsys.readouterr().out)
+    assert got == (GOLDEN / f"stats_{name}_{method}.txt").read_text()
+
+
+@pytest.mark.parametrize("method", PIPELINES)
+def test_stats_node_counts_match_collected_terminals(method, tmp_path, capsys):
+    # nodes+t counts two terminals per build; collect the reachable ones instead
+    from pbdd import random_constraint, reachable_nodes, run_pipeline, write_opb
+    from pbdd.cli import _load_constraints
+
+    path = tmp_path / "corpus.opb"
+    path.write_text(write_opb(random_constraint(seed, seed % 8 + 1, 100, "uniform")
+                              for seed in range(200)))
+    assert main(["stats", "--method", method, "--in", str(path)]) == 0
+    rows = [l.split("\t") for l in capsys.readouterr().out.splitlines()
+            if l.startswith("row\t")]
+    _, constraints = _load_constraints(str(path))
+    assert len(rows) == len(constraints)
+    for fields, c in zip(rows, constraints):
+        nodes = total = 0
+        for r in run_pipeline(method, c)[1]:
+            reached = reachable_nodes(r.store, r.root)
+            terminals = {r.root} if r.root < 2 else set()
+            for nid in reached:
+                terminals.update(ch for ch in r.store.node(nid)[1:] if ch < 2)
+            nodes += len(reached)
+            total += len(reached) + len(terminals)
+        assert fields[9:11] == [str(nodes), str(total)], (method, str(c))
+
+
+@pytest.mark.parametrize("rows, head", [(1000, 100), (1, 0)])
+@pytest.mark.parametrize("command", ["encode", "stats"])
+def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
+    # 1000 rows give a few hundred kB of output, more than a pipe buffers,
+    # and the reader takes 100 bytes; one row's output stays in the child's
+    # buffer until the reader has gone.  Unbuffered stdout (PYTHONUNBUFFERED)
+    # drops a partial write without an error, so the child runs buffered.
+    path = tmp_path / "rows.opb"
+    path.write_text("".join(
+        " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
+        + f" <= {i % 30 + 10} ;\n" for i in range(rows)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    err = tmp_path / "err.txt"
+    with open(err, "wb") as sink:
+        proc = subprocess.Popen([sys.executable, "-m", "pbdd.cli", command, "--method", "bdd1",
+                                 "--in", str(path)],
+                                stdout=subprocess.PIPE, stderr=sink, bufsize=0, env=env)
+    assert len(proc.stdout.read(head)) == head
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 3
+    assert err.read_text() == "cannot write to standard output: Broken pipe\n"
 
 
 def test_verify_ok_exit_code(capsys):

@@ -283,11 +283,10 @@ def test_clause_set_checks_survive_optimize_flag():
         "    print('refused')\n"
         "store = NodeStore()\n"
         "root = store.mk_node(2, store.mk_node(3, 1, 0), 0)\n"
-        "for sel, mode, implied in (((1, 2, 3), 'implies', -3), ((1, 0, 2), 'unit', None),\n"
-        "                           ((1, 4, 2), 'unit', None), ((1, -5, 2), 'unit', None),\n"
-        "                           ((1, 2, 3), 'implies', 0), ((1, 2, 3), 'implies', -4)):\n"
+        "for sel, implied in (((1, 2, 3), -3), ((1, 0, 2), None), ((1, 4, 2), None),\n"
+        "                     ((1, -5, 2), None), ((1, 2, 3), 0), ((1, 2, 3), -4)):\n"
         "    try:\n"
-        "        encode_monotone(store, root, sel, ClauseSet(num_inputs=3), mode, implied)\n"
+        "        encode_monotone(store, root, sel, ClauseSet(num_inputs=3), implied)\n"
         "        print('accepted')\n"
         "    except ValueError:\n"
         "        print('selector refused')\n"
@@ -305,6 +304,11 @@ def test_clause_set_checks_survive_optimize_flag():
         "    UnitPropagator([(1, 2)]).run([1, -1])\n"
         "except ValueError:\n"
         "    print('contradictory seed refused')\n"
+        "for seed in ([5], [0]):\n"
+        "    try:\n"
+        "        UnitPropagator([(1, 2)]).run(seed)\n"
+        "    except ValueError:\n"
+        "        print('seed out of range refused')\n"
         "try:\n"
         "    ls.insert(Interval(None, 2), 9)\n"
         "except ValueError:\n"
@@ -317,7 +321,7 @@ def test_clause_set_checks_survive_optimize_flag():
     assert proc.stdout.splitlines() == [
         "refused", "accepted", *["selector refused"] * 5, "overlap refused",
         "inconsistent children refused", "contradictory seed refused",
-        "infinite end refused"]
+        *["seed out of range refused"] * 2, "infinite end refused"]
 
 
 def test_count_regression_bounds():

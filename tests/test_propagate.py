@@ -46,6 +46,15 @@ def test_contradictory_seed_rejected():
         UnitPropagator([(1, 2)]).run([1, -1])
 
 
+@pytest.mark.parametrize("clauses", [[(1, 2)], [(1, 2), ()]])
+@pytest.mark.parametrize("seed", [[0], [5], [1, -3]])
+def test_seed_outside_the_variables_rejected(clauses, seed):
+    # a literal 0, or a variable above num_vars (2 here), has no slot in
+    # `values`; an empty clause does not skip the check
+    with pytest.raises(ValueError, match="not a literal of a variable 1..2"):
+        UnitPropagator(clauses).run(seed)
+
+
 def test_seed_variable_absent_from_clauses():
     status, values, trail, _, _ = UnitPropagator([(1, 2)], num_vars=5).run([5])
     assert status == FIXPOINT

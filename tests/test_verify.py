@@ -45,11 +45,11 @@ def test_extendable_routes_cross_check():
             assert extendable(c, a) == extendable_enumerate(c, a)
 
 
-def test_extendable_respects_limit():
-    big = PBConstraint.from_pairs([(1, v) for v in range(1, 16)], 3)
-    with pytest.raises(ValueError):
-        extendable(big, {})
-    assert extendable(big, {}, limit=15) is True
+def test_extendable_has_no_variable_limit():
+    # a weight sum, not an enumeration: 40 variables cost 40 additions
+    big = PBConstraint.from_pairs([(1, v) for v in range(1, 41)], 3)
+    assert extendable(big, {}) is True
+    assert extendable(big, {v: True for v in range(1, 5)}) is False
 
 
 def test_check_consistency_running_example():
