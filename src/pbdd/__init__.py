@@ -48,6 +48,7 @@ from .propagate import (
 from .verify import (
     Counterexample,
     check_consistency,
+    check_encoding,
     check_equivalent,
     check_gac,
     check_level_width,

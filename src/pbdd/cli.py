@@ -10,8 +10,10 @@ import argparse
 import gc
 import math
 import os
+import stat
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 
 from .builder import NodeBudgetExceeded, level_widths
@@ -20,7 +22,9 @@ from .dimacs import dimacs_text
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
 from .families import bailleux_family, hosaka_family, random_constraint
 from .opb import Instance, OpbParseError, parse_opb, write_opb
-from .verify import check_consistency, check_equivalent, check_gac
+from .verify import check_encoding, check_equivalent
+# bound here because perfbench/traced.py wraps them by their `pbdd.cli` names
+from .verify import check_consistency, check_gac  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -115,18 +119,59 @@ def cmd_encode(args) -> int:
 
 
 def _encode_file(args) -> int:
-    names, cs = _encode_input(args)
-    text = dimacs_text(cs, method=args.method, names=names)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.map:
-        with open(args.map, "w", encoding="utf-8") as fh:
-            for vid, name in enumerate(names, 1):
-                fh.write(f"{name} {vid}\n")
+    # both outputs are opened before the input is read, so a path that
+    # cannot be written fails at once
+    with _output(args.out) as out, _output(args.map) as sidecar:
+        names, cs = _encode_input(args)
+        data = dimacs_text(cs, method=args.method, names=names).encode("utf-8")
+        if out is None:
+            _write_stdout(data)
+        else:
+            out.write(data)
+        if sidecar is not None:
+            sidecar.write("".join(f"{name} {vid}\n"
+                                  for vid, name in enumerate(names, 1)).encode("utf-8"))
     return EXIT_OK
+
+
+@contextmanager
+def _output(path: str | None):
+    """`path` opened for binary writing, its contents replaced only when the block succeeds.
+
+    The file is opened without truncation.  If the block raises, a file
+    created here is removed and an existing one is left byte for byte as
+    it was; otherwise it ends where the block's writes end.
+    """
+    if path is None:
+        yield None
+        return
+    try:
+        fh, created = open(path, "xb"), True
+    except FileExistsError:
+        fh, created = open(os.open(path, os.O_WRONLY), "wb"), False
+    with fh:
+        try:
+            yield fh
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a device or a pipe
+            fh.truncate()
+
+
+def _write_stdout(data: bytes) -> None:
+    """`data` to standard output as bytes, every one of them or an error.
+
+    Unbuffered stdout (PYTHONUNBUFFERED) is a raw file whose write may
+    return short when the reader goes away; the rest is written again, so
+    the closed pipe raises instead of the tail being lost.
+    """
+    sys.stdout.flush()
+    raw = sys.stdout.buffer
+    view = memoryview(data)
+    while view:
+        view = view[raw.write(view):]
 
 
 def _encode_input(args) -> tuple[list[str], ClauseSet]:
@@ -203,23 +248,17 @@ def cmd_verify(args) -> int:
     # bdd2 and ite6 do not promise arc-consistency, only conflict detection
     check_arc = args.method in ("bdd1", "bdd3")
     failures = 0
-    checked = 0
     for seed in range(args.seeds):
         n = seed % args.max_n + 1
         c = random_constraint(seed, n, args.max_coeff, "uniform")
         out, _ = run_pipeline(args.method, c)
-        checked += 1
-        bad = check_consistency(c, out, limit=args.max_n)
-        if bad is not None:
-            print(f"consistency violation (seed {seed}, {c}): {bad}")
-            failures += 1
-        if check_arc:
-            bad = check_gac(c, out, limit=args.max_n)
+        verdicts = check_encoding(c, out, limit=args.max_n, gac=check_arc)
+        for prop, bad in zip(("consistency", "arc-consistency"), verdicts):
             if bad is not None:
-                print(f"arc-consistency violation (seed {seed}, {c}): {bad}")
+                print(f"{prop} violation (seed {seed}, {c}): {bad}")
                 failures += 1
     props = "consistency+GAC" if check_arc else "consistency"
-    print(f"checked {checked} random constraints ({props}, method {args.method}): "
+    print(f"checked {args.seeds} random constraints ({props}, method {args.method}): "
           f"{failures} violation(s)")
     return EXIT_VIOLATION if failures else EXIT_OK
 

@@ -7,18 +7,19 @@ guarantees: consistency (inextensible assignments force a propagation
 conflict) and generalized arc-consistency (forced literals are actually
 propagated).
 
-The assignments are visited by a depth-first walk over the variables
-with the children of each variable taken in the order None, False, True,
+One depth-first walk, `check_encoding`, serves both properties.  It
+takes the children of each variable in the order None, False, True,
 which is the order of `itertools.product((None, False, True), repeat=n)`,
-so the first violation found is the same as in a plain enumeration.  One
+so each verdict is the first violation of a plain enumeration.  One
 `UnitPropagator` follows the walk: each step down assumes one literal and
 propagates only its consequences, each step back backtracks the trail,
 and the true weight of the path is carried along.  The cost is one
 incremental propagation per step instead of a full propagation per
-assignment.  Subtrees whose verdict is already decided are skipped: below
-an inextensible prefix every assignment stays inextensible, and
-propagation is monotone, so conflicts persist too.
-Below a conflicting prefix no further literal is propagated.
+assignment and property.  Inextensible children are assumed once, for
+consistency only, and nothing below them is visited: the weight only
+grows and propagation is monotone, so conflicts persist.  Below a
+conflict, which settles consistency, no further literal is propagated.
+The walk stops as soon as every verdict asked for is settled.
 """
 
 from __future__ import annotations
@@ -71,30 +72,109 @@ def extendable(c: PBConstraint, assignment: Mapping[int, bool]) -> bool:
     return _true_weight(c, assignment) <= c.bound
 
 
-def _clause_list(cnf):
-    return getattr(cnf, "clauses", cnf)
-
-
-def _walk_setup(c: PBConstraint, cnf, limit: int):
-    """Engine at level 0, its level-0 conflict flag, and the walk's steps.
-
-    `steps[j]` lists the two children of the j-th variable after None:
-    (literal assumed, weight it adds) for False, then for True.
-    """
-    n = len(c.terms)
-    if n > limit:
-        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
-    engine = UnitPropagator(_clause_list(cnf), num_vars=max(c.variables(), default=0))
-    conflict = engine.reset() is not None
-    steps = [
-        ((-t.var, 0 if t.lit > 0 else t.coef), (t.var, t.coef if t.lit > 0 else 0))
-        for t in c.terms
-    ]
-    return engine, conflict, steps
-
-
 def _assignment(path) -> dict[int, bool]:
     return {abs(lit): lit > 0 for lit in path}
+
+
+_SPURIOUS = "spurious conflict on extendable assignment"
+_UNDETECTED = "inextensible assignment not detected"
+_OPEN = object()  # a verdict the walk has not settled yet
+
+
+def check_encoding(
+    c: PBConstraint,
+    cnf,
+    limit: int = DEFAULT_ENUM_LIMIT,
+    *,
+    gac: bool = True,
+    consistency: bool = True,
+) -> tuple[Counterexample | None, Counterexample | None]:
+    """Consistency and GAC verdicts of `cnf` as an encoding of `c`, from one walk.
+
+    Returns `(consistency, gac)`, each the first violation in enumeration
+    order or None; a verdict not asked for is None.  Consistency: exactly
+    the inextensible assignments make propagation conflict.  GAC: for each
+    extendable assignment, every unassigned variable whose literal cannot
+    be set true has its negation propagated.
+    """
+    bound, terms = c.bound, c.terms
+    n = len(terms)
+    if n > limit:
+        raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
+    engine = UnitPropagator(getattr(cnf, "clauses", cnf), num_vars=max(c.variables(), default=0))
+    conflict = engine.reset() is not None  # the unit clauses alone refute
+    values, trail = engine.values, engine.trail
+    assume, backtrack = engine.assume, engine.backtrack
+    # the children of variable j after None: (literal assumed, weight it adds)
+    steps = [((-t.var, 0 if t.lit > 0 else t.coef), (t.var, t.coef if t.lit > 0 else 0))
+             for t in terms]
+    max_coef = max(c.coefficients(), default=0)
+    assigned = [False] * n
+    path: list[int] = []
+    cons = _OPEN if consistency else None
+    arc = _OPEN if gac else None
+
+    def here(detail: str, variable: int | None = None) -> Counterexample:
+        return Counterexample(_assignment(path), variable, detail)
+
+    def visit(conflict: bool, weight: int) -> bool:
+        """Settle what the current path, which is extendable, violates; True once none is open."""
+        nonlocal cons, arc
+        if conflict and cons is _OPEN:
+            cons = here(_SPURIOUS)
+        if arc is _OPEN and weight + max_coef > bound:  # some literal may be forced
+            for j, (coef, lit) in enumerate(terms):
+                if assigned[j] or weight + coef <= bound:
+                    continue
+                if conflict:
+                    arc = here(_SPURIOUS)
+                elif values[abs(lit)] != (2 if lit > 0 else 1):
+                    arc = here(f"literal {-lit} is forced but was not propagated", abs(lit))
+                else:
+                    continue
+                break
+        return cons is not _OPEN and arc is not _OPEN
+
+    def walk(start: int, weight: int, conflict: bool) -> bool:
+        # Assignments extending the path, which is extendable, by variables
+        # from `start` on; the last free variable varies first.  While
+        # consistency is open nothing on the path conflicts.  True once
+        # every verdict is settled, which ends the walk.
+        nonlocal cons
+        for j in range(n - 1, start - 1, -1):
+            assigned[j] = True
+            for lit, add in steps[j]:
+                w = weight + add
+                mark = len(trail)
+                if w > bound:
+                    # inextensible, and so is all below, where conflicts
+                    # persist: only consistency looks, at this step alone
+                    if cons is not _OPEN:
+                        continue
+                    if assume(lit):
+                        path.append(lit)
+                        cons = here(_UNDETECTED)
+                        if arc is not _OPEN:
+                            return True
+                        path.pop()
+                    backtrack(mark)
+                    continue
+                # below a conflict nothing more is propagated
+                below = conflict or not assume(lit)
+                path.append(lit)
+                if visit(below, w) or walk(j + 1, w, below):
+                    return True
+                path.pop()
+                backtrack(mark)
+            assigned[j] = False
+        return False
+
+    if bound < 0:  # nothing extends: GAC holds, consistency needs a refutation
+        if cons is _OPEN and not conflict:
+            cons = here(_UNDETECTED)
+    elif not visit(conflict, 0):
+        walk(0, 0, conflict)
+    return (None if cons is _OPEN else cons), (None if arc is _OPEN else arc)
 
 
 def check_consistency(
@@ -108,48 +188,7 @@ def check_consistency(
     cannot be extended to a model of `c`.  Returns the first violation in
     enumeration order.
     """
-    engine, conflict, steps = _walk_setup(c, cnf, limit)
-    trail = engine.trail
-    bound = c.bound
-    n = len(steps)
-    path: list[int] = []
-
-    def violation(conflict: bool, weight: int) -> str | None:
-        """What is wrong with the current path's own assignment, if anything."""
-        if weight <= bound:
-            if conflict:
-                return "spurious conflict on extendable assignment"
-        elif not conflict:
-            return "inextensible assignment not detected"
-        return None
-
-    def walk(start: int, weight: int) -> Counterexample | None:
-        # Assignments extending the path by variables from `start` on.  The
-        # path itself is extendable and propagates without a conflict.  The
-        # last free variable varies first.
-        for j in range(n - 1, start - 1, -1):
-            for lit, add in steps[j]:
-                mark = len(trail)
-                conflict = not engine.assume(lit)
-                path.append(lit)
-                w = weight + add
-                detail = violation(conflict, w)
-                if detail is not None:
-                    found = Counterexample(_assignment(path), None, detail)
-                elif w <= bound:
-                    found = walk(j + 1, w)
-                else:
-                    found = None  # inextensible and detected, and so is all below
-                path.pop()
-                engine.backtrack(mark)
-                if found is not None:
-                    return found
-        return None
-
-    detail = violation(conflict, 0)
-    if detail is not None:
-        return Counterexample({}, None, detail)
-    return walk(0, 0) if bound >= 0 else None
+    return check_encoding(c, cnf, limit, gac=False)[0]
 
 
 def check_gac(
@@ -164,56 +203,7 @@ def check_gac(
     literal's negation.  Returns the first violation in enumeration order,
     which makes reported witnesses deterministic.
     """
-    engine, conflict, steps = _walk_setup(c, cnf, limit)
-    values, trail = engine.values, engine.trail
-    bound = c.bound
-    terms = c.terms
-    n = len(terms)
-    max_coef = max(c.coefficients(), default=0)
-    assigned = [False] * n
-    path: list[int] = []
-
-    def violation(conflict: bool, weight: int) -> Counterexample | None:
-        # the current path is extendable (weight <= bound)
-        if weight + max_coef <= bound:
-            return None  # nothing forced
-        for j, (coef, lit) in enumerate(terms):
-            if assigned[j] or weight + coef <= bound:
-                continue
-            if conflict:
-                return Counterexample(_assignment(path), None,
-                                      "spurious conflict on extendable assignment")
-            if values[abs(lit)] != (2 if lit > 0 else 1):
-                return Counterexample(
-                    _assignment(path), abs(lit),
-                    f"literal {-lit} is forced but was not propagated",
-                )
-        return None
-
-    def walk(start: int, weight: int, conflict: bool) -> Counterexample | None:
-        # As in check_consistency; inextensible assignments are skipped, and
-        # below a conflict every assignment conflicts without propagating.
-        for j in range(n - 1, start - 1, -1):
-            assigned[j] = True
-            for lit, add in steps[j]:
-                w = weight + add
-                if w > bound:
-                    continue
-                mark = len(trail)
-                below = conflict or not engine.assume(lit)
-                path.append(lit)
-                found = violation(below, w) or walk(j + 1, w, below)
-                path.pop()
-                engine.backtrack(mark)
-                if found is not None:
-                    assigned[j] = False
-                    return found
-            assigned[j] = False
-        return None
-
-    if bound < 0:
-        return None
-    return violation(conflict, 0) or walk(0, 0, conflict)
+    return check_encoding(c, cnf, limit, consistency=False)[1]
 
 
 def check_equivalent(c1: PBConstraint, c2: PBConstraint) -> bool:

@@ -257,18 +257,12 @@ def test_stats_node_counts_match_collected_terminals(method, tmp_path, capsys):
         assert fields[9:11] == [str(nodes), str(total)], (method, str(c))
 
 
-@pytest.mark.parametrize("rows, head", [(1000, 100), (1, 0)])
-@pytest.mark.parametrize("command", ["encode", "stats"])
-def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
-    # 1000 rows give a few hundred kB of output, more than a pipe buffers,
-    # and the reader takes 100 bytes; one row's output stays in the child's
-    # buffer until the reader has gone.  Unbuffered stdout (PYTHONUNBUFFERED)
-    # drops a partial write without an error, so the child runs buffered.
+def _closed_stdout(tmp_path, command, rows, head, env):
+    """Exit code and stderr of a child whose stdout reader leaves after `head` bytes."""
     path = tmp_path / "rows.opb"
     path.write_text("".join(
         " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
         + f" <= {i % 30 + 10} ;\n" for i in range(rows)))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     err = tmp_path / "err.txt"
     with open(err, "wb") as sink:
         proc = subprocess.Popen([sys.executable, "-m", "pbdd.cli", command, "--method", "bdd1",
@@ -276,8 +270,26 @@ def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
                                 stdout=subprocess.PIPE, stderr=sink, bufsize=0, env=env)
     assert len(proc.stdout.read(head)) == head
     proc.stdout.close()
-    assert proc.wait(timeout=60) == 3
-    assert err.read_text() == "cannot write to standard output: Broken pipe\n"
+    return proc.wait(timeout=60), err.read_text()
+
+
+@pytest.mark.parametrize("rows, head", [(1000, 100), (1, 0)])
+@pytest.mark.parametrize("command", ["encode", "stats"])
+def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
+    # 1000 rows give a few hundred kB of output, more than a pipe buffers,
+    # and the reader takes 100 bytes; one row's output stays in the child's
+    # buffer until the reader has gone
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    assert _closed_stdout(tmp_path, command, rows, head, env) == (
+        3, "cannot write to standard output: Broken pipe\n")
+
+
+def test_closed_unbuffered_stdout_exits_3_with_one_line(tmp_path):
+    # unbuffered stdout is a raw file: a write into a pipe whose reader
+    # leaves returns short, and the rest must not be dropped silently
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    assert _closed_stdout(tmp_path, "encode", 1000, 100, env) == (
+        3, "cannot write to standard output: Broken pipe\n")
 
 
 def test_verify_ok_exit_code(capsys):
@@ -426,6 +438,50 @@ def test_directory_paths_exit_3_without_traceback(run_opb, tmp_path, flag):
                             *(tok for item in paths.items() for tok in item)])
     assert code == 3
     assert f"cannot open {tmp_path}: Is a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--map"])
+def test_unwritable_output_exits_3_before_encoding(run_opb, tmp_path, monkeypatch, capsys,
+                                                     flag):
+    import pbdd.cli
+
+    calls = []
+    monkeypatch.setattr(pbdd.cli, "run_pipeline", lambda *args, **kwargs: calls.append(args))
+    paths = {"--out": tmp_path / "out.cnf", "--map": tmp_path / "vars.map"}
+    paths[flag] = tmp_path
+    assert main(["encode", "--method", "bdd1", "--in", run_opb,
+                 *(str(tok) for item in paths.items() for tok in item)]) == 3
+    assert calls == []
+    assert capsys.readouterr().err == f"cannot open {tmp_path}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.opb"]  # no output left behind
+
+
+def test_failed_encode_leaves_the_outputs_as_they_were(tmp_path):
+    big = tmp_path / "big.opb"
+    big.write_text("+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n")
+    bad = tmp_path / "bad.opb"
+    bad.write_text("+1 x1 +1 x2 <= 1 ;\nmin: +1 x1 ;\n")
+    out, sidecar = tmp_path / "out.cnf", tmp_path / "vars.map"
+    out.write_bytes(b"an earlier result\n")
+    for args, code in (([str(big), "--node-budget", "1"], 4), ([str(bad)], 3)):
+        assert main(["encode", "--method", "bdd1", "--in", *args,
+                     "--out", str(out), "--map", str(sidecar)]) == code
+        assert out.read_bytes() == b"an earlier result\n"
+        assert not sidecar.exists()
+    out.unlink()
+    assert main(["encode", "--method", "bdd1", "--in", str(big), "--node-budget", "1",
+                 "--out", str(out)]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.opb", "big.opb"]
+
+
+def test_encode_replaces_a_longer_output(run_opb, tmp_path):
+    out, sidecar = tmp_path / "out.cnf", tmp_path / "vars.map"
+    out.write_bytes(b"c stale\n" * 10_000)
+    sidecar.write_bytes(b"stale 1\n" * 100)
+    assert main(["encode", "--method", "bdd1", "--in", run_opb,
+                 "--out", str(out), "--map", str(sidecar)]) == 0
+    assert out.read_text() == (GOLDEN / "running_bdd1.cnf").read_text()
+    assert sidecar.read_text() == "x1 1\nx2 2\nx3 3\n"
 
 
 def test_non_utf8_input_exits_3_with_its_byte_offset(tmp_path):

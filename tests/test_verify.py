@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from pbdd import (
     PBConstraint,
+    UnitPropagator,
     build,
     check_consistency,
+    check_encoding,
     check_equivalent,
     check_gac,
     check_level_width,
@@ -18,6 +20,7 @@ from pbdd import (
     subset_sum_reachable,
     subset_sum_unsat,
 )
+from pbdd.cli import main
 
 from oracles import (
     check_consistency_enumerate,
@@ -187,26 +190,33 @@ def test_decomposed_interval_gaps_at_least_bit_weight():
                 assert b - a >= weight, (str(c), level)
 
 
-# Differential tests: the depth-first checkers against the enumerating
-# originals in oracles.py, which propagate every partial assignment from
+# Differential tests: the depth-first walk against the enumerating
+# checkers in oracles.py, which propagate every partial assignment from
 # scratch.  Both must return the same first counterexample.
+
+def _verdict(ce):
+    return None if ce is None else (ce.assignment, ce.variable, ce.detail)
+
 
 def _outcome(check, *args, **kwargs):
     """The counterexample as a comparable tuple, or the exception raised."""
     try:
-        ce = check(*args, **kwargs)
+        return _verdict(check(*args, **kwargs))
     except (ValueError, IndexError) as exc:
         return type(exc)
-    return None if ce is None else (ce.assignment, ce.variable, ce.detail)
 
 
 def _same_verdicts(c, clauses):
-    """Both checkers agree with their oracles; returns (consistency, GAC)."""
-    new = _outcome(check_consistency, c, clauses)
-    assert new == _outcome(check_consistency_enumerate, c, clauses)
-    gac = _outcome(check_gac, c, clauses)
-    assert gac == _outcome(check_gac_enumerate, c, clauses)
-    return new, gac
+    """The fused walk and both checkers agree with the oracles; returns (consistency, GAC)."""
+    want = (_outcome(check_consistency_enumerate, c, clauses),
+            _outcome(check_gac_enumerate, c, clauses))
+    try:
+        fused = tuple(map(_verdict, check_encoding(c, clauses)))
+    except (ValueError, IndexError) as exc:
+        fused = (type(exc), type(exc))
+    assert fused == want
+    assert (_outcome(check_consistency, c, clauses), _outcome(check_gac, c, clauses)) == want
+    return want
 
 
 def _drop_one(clauses, rng, count):
@@ -265,9 +275,46 @@ def test_gac_walk_continues_below_a_conflict():
 
 def test_walk_keeps_errors():
     big = PBConstraint.from_pairs([(1, v) for v in range(1, 10)], 3)
-    for check in (check_consistency, check_gac):
+    for check in (check_consistency, check_gac, check_encoding):
         with pytest.raises(ValueError, match="enumeration limit"):
             check(big, [])
+
+
+def test_walk_settles_only_the_verdicts_asked_for():
+    # bdd2 keeps consistency but not GAC on the running example
+    cs = run_pipeline("bdd2", RUN)[0]
+    gac = check_gac(RUN, cs)
+    assert gac is not None
+    assert check_encoding(RUN, cs) == (None, gac)
+    assert check_encoding(RUN, cs, gac=False) == (None, None)
+    assert check_encoding(RUN, cs, consistency=False) == (None, gac)
+
+
+def _count_assumes(monkeypatch):
+    calls = [0]
+    assume = UnitPropagator.assume
+
+    def counted(self, lit):
+        calls[0] += 1
+        return assume(self, lit)
+
+    monkeypatch.setattr(UnitPropagator, "assume", counted)
+    return calls
+
+
+def test_one_walk_serves_both_verdicts(monkeypatch, capsys):
+    # `pbdd verify --method bdd3 --max-n 8 --seeds 8`: the consistency walk
+    # alone assumes 8,228 literals, and GAC's own walk repeated 7,856 of them
+    calls = _count_assumes(monkeypatch)
+    assert main(["verify", "--method", "bdd3", "--max-n", "8", "--seeds", "8"]) == 0
+    assert capsys.readouterr().out.endswith(": 0 violation(s)\n")
+    assert calls[0] == 8228
+    calls[0] = 0
+    for seed in range(8):
+        c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
+        out = run_pipeline("bdd3", c)[0]
+        assert check_consistency(c, out) is None and check_gac(c, out) is None
+    assert calls[0] == 16084
 
 
 @settings(max_examples=150, deadline=None)
