@@ -14,11 +14,10 @@ import stat
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 
 from .builder import NodeBudgetExceeded, level_widths
 from .constraints import PBConstraint, normalize
-from .dimacs import dimacs_text
+from .dimacs import clause_blocks, dimacs_header, dimacs_text
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
 from .families import bailleux_family, hosaka_family, random_constraint
 from .opb import Instance, OpbParseError, parse_opb, write_opb
@@ -27,59 +26,23 @@ from .verify import check_encoding, check_equivalent
 from .verify import check_consistency, check_gac  # noqa: F401
 
 EXIT_OK = 0
-EXIT_VIOLATION = 1
-EXIT_USAGE = 2
+EXIT_VIOLATION = 1  # 2, a usage error, is argparse's exit code
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
-CHUNKS_PER_JOB = 4
+MIN_PER_JOB = 4  # fewer constraints per job are encoded in-process
 SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
 VERIFY_MAX_N = 14  # verify checks all 3^n partial assignments of a constraint
 
 
-def _encode_chunk(chunk: list[PBConstraint], method: str, num_inputs: int,
-                  small_naive: int, node_budget: int | None):
-    """Encode consecutive constraints against one private allocator; returns (clauses, naux)."""
+def _encode_range(constraints, args, num_inputs: int) -> ClauseSet:
+    """Encode consecutive constraints against one private allocator."""
     out = ClauseSet(num_inputs=num_inputs)
-    for c in chunk:
-        if small_naive and len(c.terms) <= small_naive:
+    for c in constraints:
+        if args.small_naive and len(c.terms) <= args.small_naive:
             encode_small(c, out)
         else:
-            run_pipeline(method, c, out, node_budget=node_budget)
-    return out.clauses, out.next_var - num_inputs - 1
-
-
-def _chunks(items: list, count: int) -> list[list]:
-    """`items` cut into at most `count` contiguous runs whose lengths differ by at most one."""
-    count = min(count, len(items))
-    cuts = [len(items) * j // count for j in range(count + 1)] if count else [0]
-    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _assemble(results, num_inputs: int) -> ClauseSet:
-    """Stitch per-chunk clause lists, in order, into one set with disjoint aux ranges.
-
-    Each clause is held once: the set adopts the first chunk's list when
-    that chunk needs no shift (the only chunk at `--jobs 1`), and a
-    shifted chunk's list is dropped once it is copied, when `results` is
-    an iterator.
-    """
-    out = ClauseSet(num_inputs=num_inputs)
-    for clauses, naux in results:
-        shift = out.next_var - 1 - num_inputs
-        out.next_var += naux
-        if not shift:
-            if out.clauses:
-                out.clauses.extend(clauses)
-            else:
-                out.clauses = clauses
-            continue
-        append = out.clauses.append
-        for cl in clauses:
-            append(tuple(
-                l if -num_inputs <= l <= num_inputs else (l + shift if l > 0 else l - shift)
-                for l in cl
-            ))
+            run_pipeline(args.method, c, out, node_budget=args.node_budget)
     return out
 
 
@@ -110,27 +73,18 @@ def _load_constraints(path: str) -> tuple[Instance, list[PBConstraint]]:
 def cmd_encode(args) -> int:
     # The encode allocates only acyclic tuples and lists, which reference
     # counting frees; the cyclic collector would only rescan the growing
-    # clause list.  Forked workers inherit the pause.
+    # clause list.  Forked workers inherit the pause.  Both outputs are
+    # opened before the input is read, so a path that cannot be written
+    # fails at once.
     gc.disable()
     try:
-        return _encode_file(args)
+        with _output(args.out) as out, _output(args.map) as sidecar:
+            names = _encode_input(args, _write_stdout if out is None else out.write)
+            if sidecar is not None:
+                sidecar.write("".join(f"{name} {vid}\n"
+                                      for vid, name in enumerate(names, 1)).encode("utf-8"))
     finally:
         gc.enable()
-
-
-def _encode_file(args) -> int:
-    # both outputs are opened before the input is read, so a path that
-    # cannot be written fails at once
-    with _output(args.out) as out, _output(args.map) as sidecar:
-        names, cs = _encode_input(args)
-        data = dimacs_text(cs, method=args.method, names=names).encode("utf-8")
-        if out is None:
-            _write_stdout(data)
-        else:
-            out.write(data)
-        if sidecar is not None:
-            sidecar.write("".join(f"{name} {vid}\n"
-                                  for vid, name in enumerate(names, 1)).encode("utf-8"))
     return EXIT_OK
 
 
@@ -174,30 +128,113 @@ def _write_stdout(data: bytes) -> None:
         view = view[raw.write(view):]
 
 
-def _encode_input(args) -> tuple[list[str], ClauseSet]:
-    """The input's variable names and its assembled clauses.
+def _encode_input(args, write) -> list[str]:
+    """Encode the input, pass its DIMACS bytes to `write` and return its variable names.
 
-    Only the names outlive this call: the parsed rows and the normalized
-    constraints are released before the writer runs.
+    The parsed rows are released before the encode and, in-process, the
+    normalized constraints before the writer runs.
     """
     inst, constraints = _load_constraints(args.infile)
-    num_inputs = len(inst.names)
-    encode = partial(_encode_chunk, method=args.method, num_inputs=num_inputs,
-                     small_naive=args.small_naive, node_budget=args.node_budget)
-    # the pool forks all its workers at the first task, so never more than cores
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(constraints) >= CHUNKS_PER_JOB * jobs:
-        # a few chunks per worker balance the load at a few round trips each;
-        # with fewer constraints each chunk is one of them and the largest
-        # sets the wall time, so the pool's start-up is not repaid
-        from concurrent.futures import ProcessPoolExecutor  # slow to import; only here
-
-        chunks = _chunks(constraints, CHUNKS_PER_JOB * jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cs = _assemble(pool.map(encode, chunks), num_inputs)
+    names = inst.names
+    del inst
+    jobs = min(args.jobs, os.cpu_count() or 1)  # never more processes than cores
+    if jobs > 1 and len(constraints) >= MIN_PER_JOB * jobs and hasattr(os, "fork"):
+        # with fewer per job one constraint can set the wall time, unrepaid by forking
+        _encode_forked(constraints, args, names, jobs, write)
     else:
-        cs = _assemble([encode(constraints)], num_inputs)
-    return inst.names, cs
+        cs = _encode_range(constraints, args, len(names))
+        del constraints
+        write(dimacs_text(cs, method=args.method, names=names).encode("utf-8"))
+    return names
+
+
+def _encode_forked(constraints, args, names, jobs: int, write) -> None:
+    """`_encode_input` in `jobs` processes: `jobs - 1` forked workers and this one.
+
+    The constraints are cut into `jobs` contiguous ranges of about equal
+    term counts.  Each worker inherits the list (nothing is pickled) and
+    encodes a range, this process the last.  A worker reports its aux and
+    clause counts, reads its aux shift (the aux count of the ranges before
+    its own) and sends its clauses as DIMACS bytes with the shift applied.
+    The first failing range in file order sets the budget error, as
+    in-process.  Every worker is killed and reaped before this returns.
+    """
+    import signal
+    from bisect import bisect
+    from itertools import accumulate
+
+    num_inputs = len(names)
+    sizes = list(accumulate(len(c.terms) for c in constraints))
+    cuts = [0, *(bisect(sizes, sizes[-1] * k // jobs) for k in range(1, jobs)), len(sizes)]
+    sys.stdout.flush()  # a worker must not write what this process buffered
+    sys.stderr.flush()
+    workers = []  # (pid, fd of its counts and bytes, fd of its shift)
+    try:
+        for k in range(jobs - 1):
+            down, shifts = os.pipe()
+            report, up = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                for fd in (shifts, report, *(fd for _, *fds in workers for fd in fds)):
+                    os.close(fd)
+                _work(constraints[cuts[k]:cuts[k + 1]], args, num_inputs, up, down)
+            os.close(down)
+            os.close(up)
+            workers.append((pid, report, shifts))
+        failed = None
+        try:
+            cs = _encode_range(constraints[cuts[-2]:], args, num_inputs)
+        except NodeBudgetExceeded as exc:
+            failed = exc
+        shift = total = 0
+        for _, report, shifts in workers:
+            counts = os.read(report, 4096)  # one short write, so read whole
+            if counts.startswith(b"budget "):
+                raise NodeBudgetExceeded(counts[7:].decode("utf-8"))
+            if not counts:
+                raise RuntimeError("an encode worker exited without its result")
+            os.write(shifts, b"%d" % shift)  # the worker waits for it once it reports
+            naux, clauses = map(int, counts.split())
+            shift += naux
+            total += clauses
+        if failed is not None:
+            raise failed
+        tail = "".join(clause_blocks(cs, shift)).encode("utf-8")
+        write(dimacs_header(num_inputs, cs.max_var + shift, total + len(cs.clauses),
+                            args.method, names).encode("utf-8"))
+        del cs
+        for _, report, _ in workers:
+            while data := os.read(report, 1 << 20):
+                write(data)
+        write(tail)
+    finally:
+        for pid, report, shifts in workers:
+            os.kill(pid, signal.SIGKILL)  # a worker still encoding has nothing left to give
+            os.waitpid(pid, 0)
+            os.close(report)
+            os.close(shifts)
+
+
+def _work(constraints, args, num_inputs: int, up: int, down: int):
+    """Encode, report and format one range in a forked worker, ending in `os._exit`.
+
+    It never returns, so no handler of the parent's stack (`_output`'s) runs in it."""
+    try:
+        try:
+            cs = _encode_range(constraints, args, num_inputs)
+        except NodeBudgetExceeded as exc:
+            os.write(up, b"budget " + str(exc).encode("utf-8"))
+        else:
+            os.write(up, b"%d %d" % (cs.max_var - num_inputs, len(cs.clauses)))
+            shift = os.read(down, 64)  # one short write, or none if the parent gave up
+            if shift:
+                with open(up, "wb", closefd=False) as report:
+                    report.write("".join(clause_blocks(cs, int(shift))).encode("utf-8"))
+    except Exception:  # an interrupt ends the worker quietly, with the parent
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(0)  # the parent reads the pipe, not the exit status
 
 
 STATS_COLUMNS = (("aux", 6), ("bin", 6), ("tern", 6), ("other", 6), ("clauses", 8),
@@ -273,10 +310,8 @@ def cmd_gen(args) -> int:
         header.append(f"a={args.a} b={args.b} n={args.n}")
     else:
         c = random_constraint(args.seed, args.n, args.max_coeff, args.bound_policy)
-        header.append(
-            f"seed={args.seed} n={args.n} max_coeff={args.max_coeff} "
-            f"bound_policy={args.bound_policy}"
-        )
+        header.append(f"seed={args.seed} n={args.n} max_coeff={args.max_coeff} "
+                      f"bound_policy={args.bound_policy}")
     text = write_opb([c], header=header)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -304,11 +339,8 @@ def cmd_equiv(args) -> int:
     # align the second constraint's ids with the first by name
     remap = {inst2.name_to_id[nm]: inst1.name_to_id[nm] for nm in names2}
     c2 = PBConstraint.from_pairs(
-        [(t.coef, remap[t.var] * (1 if t.lit > 0 else -1)) for t in c2.terms],
-        c2.bound,
-    )
-    verdict = "equivalent" if check_equivalent(c1, c2) else "different"
-    print(verdict)
+        [(t.coef, remap[t.var] * (1 if t.lit > 0 else -1)) for t in c2.terms], c2.bound)
+    print("equivalent" if check_equivalent(c1, c2) else "different")
     return EXIT_OK
 
 
@@ -341,10 +373,8 @@ def _bound_policy(text: str) -> str | float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pbdd",
-        description="Compile pseudo-Boolean constraints to CNF via interval-labeled BDDs",
-    )
+    parser = argparse.ArgumentParser(prog="pbdd", description="Compile pseudo-Boolean "
+                                     "constraints to CNF via interval-labeled BDDs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
@@ -357,15 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None, help="output CNF path (default stdout)")
     p.add_argument("--map", default=None, help="write a name<->variable sidecar")
-    p.add_argument("--small-naive", type=_int_range(0, SMALL_NAIVE_LIMIT), default=0,
-                   metavar="N",
+    p.add_argument("--small-naive", type=_int_range(0, SMALL_NAIVE_LIMIT), default=0, metavar="N",
                    help="encode constraints with <= N variables by direct "
                         "clause enumeration instead of a diagram (0 = never, "
                         f"at most {SMALL_NAIVE_LIMIT}: the work grows as 2^N)")
     p.add_argument("--jobs", type=_int_range(1), default=1,
-                   help="encode constraints in parallel worker processes, at most "
-                        "one per CPU (in-process below "
-                        f"{CHUNKS_PER_JOB} constraints per job)")
+                   help="encode constraints in parallel forked processes, at most one per "
+                        f"CPU (in-process below {MIN_PER_JOB} constraints per process, or "
+                        "where the platform has no fork)")
     add_budget(p)
     p.set_defaults(func=cmd_encode)
 
@@ -403,6 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "encode" and args.out is not None and args.map is not None and (
+            os.path.realpath(args.out) == os.path.realpath(args.map)
+            or os.path.exists(args.out) and os.path.exists(args.map)
+            and os.path.samefile(args.out, args.map)):
+        parser.error("encode --out and --map name the same file")
     if args.command == "gen":
         if args.family == "random" and args.max_coeff < 1:
             parser.error("gen --max-coeff must be >= 1")

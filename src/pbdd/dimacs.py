@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .encode import ClauseSet
@@ -17,34 +18,44 @@ class _Templates(dict):
         return fmt
 
 
-def dimacs_text(
-    cs: ClauseSet,
-    method: str | None = None,
-    names: Sequence[str] | None = None,
-) -> str:
-    """Render a clause set as DIMACS.
+def dimacs_header(num_inputs: int, max_var: int, num_clauses: int,
+                  method: str | None = None, names: Sequence[str] | None = None) -> str:
+    """`c method` if given, one `c map <name> = <cnfvar>` per input variable, `p cnf`."""
+    lines = [] if method is None else [f"c method {method}\n"]
+    for v in range(1, num_inputs + 1):
+        lines.append(f"c map {names[v - 1] if names else f'x{v}'} = {v}\n")
+    lines.append(f"p cnf {max_var} {num_clauses}\n")
+    return "".join(lines)
 
-    Comment lines record the encoding method, if given, and one
-    `c map <name> = <cnfvar>` line per input variable.  Output is
-    byte-identical across runs for the same input.  Each clause (a tuple
-    of ints, as `ClauseSet` holds them) is formatted with one `%d`
-    template per clause length, and every `BLOCK` clauses are joined into
-    one str, so the text is held at most twice while it is built rather
-    than once more as one str per clause.
+
+def clause_blocks(cs: ClauseSet, shift: int = 0):
+    """The DIMACS lines of `cs`'s clauses, one str per `BLOCK` clauses.
+
+    Each block is one `%` format: the `%d` templates of its clauses,
+    joined, applied to all its literals.  A nonzero `shift` moves every
+    auxiliary variable up by that much, through a table indexed by signed
+    literal (a negative literal indexes from its end).
     """
-    lines = []
-    if method is not None:
-        lines.append(f"c method {method}\n")
-    for v in range(1, cs.num_inputs + 1):
-        name = names[v - 1] if names else f"x{v}"
-        lines.append(f"c map {name} = {v}\n")
-    clauses = cs.clauses
-    lines.append(f"p cnf {cs.max_var} {len(clauses)}\n")
-    blocks = ["".join(lines)]
-    template = _Templates()
+    clauses, template, ren = cs.clauses, _Templates(), None
+    if shift:
+        ren = [*range(cs.num_inputs + 1), *range(cs.num_inputs + 1 + shift, cs.next_var + shift)]
+        ren += [-v for v in reversed(ren[1:])]
     for start in range(0, len(clauses), BLOCK):
-        blocks.append("".join([template[len(cl)] % cl for cl in clauses[start:start + BLOCK]]))
-    return "".join(blocks)
+        block = clauses[start:start + BLOCK]
+        lits = chain.from_iterable(block)
+        yield "".join(map(template.__getitem__, map(len, block))) % tuple(
+            lits if ren is None else map(ren.__getitem__, lits))
+
+
+def dimacs_text(cs: ClauseSet, method: str | None = None,
+                names: Sequence[str] | None = None) -> str:
+    """`dimacs_header` and `clause_blocks` of `cs`, byte-identical across runs.
+
+    The text is held at most twice while it is built (the blocks and
+    their join) rather than once more as one str per clause.
+    """
+    return "".join([dimacs_header(cs.num_inputs, cs.max_var, len(cs.clauses), method, names),
+                    *clause_blocks(cs)])
 
 
 def write_dimacs(cs: ClauseSet, sink, **kwargs) -> None:

@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -84,33 +83,44 @@ def test_encode_multi_constraint_disjoint_aux_ranges(tmp_path):
     assert len(body) == 5 + 3 + 3  # running constraint + two cardinality halves
 
 
-def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch):
-    # the pool starts only with at least CHUNKS_PER_JOB (4) constraints per job;
-    # cmd_encode imports ProcessPoolExecutor from concurrent.futures when it
-    # needs one.  Four CPUs, so no --jobs here is capped.
-    import concurrent.futures
-    import os
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers `os.fork` starts, recorded in the parent."""
+    started, real = [], os.fork
 
+    def recording_fork():
+        pid = real()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return started
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch, forks):
+    # workers start only with at least MIN_PER_JOB (4) constraints per job,
+    # J - 1 of them, as this process encodes the last range.  Four CPUs, so
+    # no --jobs here is capped.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    pools = []
-
-    def recording_pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return ProcessPoolExecutor(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-    for rows, jobs, want_pools in ((6, "2", []), (7, "2", []), (8, "2", [2]), (11, "3", [])):
+    for rows, jobs, want_forks in ((6, "2", 0), (7, "2", 0), (8, "2", 1), (11, "3", 0)):
         path = tmp_path / "many.opb"
         lines = [f"+{i + 1} x1 +{i + 2} x2 +{i + 3} x3 <= {2 * i + 3} ;" for i in range(rows)]
         path.write_text("\n".join(lines) + "\n")
         one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
         assert main(["encode", "--method", "bdd2", "--in", str(path),
                      "--out", str(one)]) == 0
-        pools.clear()
+        forks.clear()
         assert main(["encode", "--method", "bdd2", "--in", str(path),
                      "--out", str(two), "--jobs", jobs]) == 0
-        assert pools == want_pools, (rows, jobs)
+        assert len(forks) == want_forks, (rows, jobs)
         assert one.read_text() == two.read_text()
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("method", ["bdd1", "bdd3"])
@@ -149,41 +159,80 @@ def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method,
     assert "0" in body  # the trivially false rows
 
 
-@pytest.mark.parametrize("cpus, jobs, want_pools",
-                         [(2, "1000", [2]), (None, "1000", []), (8, "3", [3])])
-def test_encode_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, want_pools):
-    # a fake pool that records its size and maps in-process, so no process starts
-    import concurrent.futures
-    import os
-
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+def _forty_rows(tmp_path) -> str:
     path = tmp_path / "many.opb"
     path.write_text("".join(f"+{i % 5 + 1} x1 +{i % 7 + 2} x2 +3 x{i % 4 + 3} <= {i % 9 + 2} ;\n"
                             for i in range(40)))
+    return str(path)
+
+
+@pytest.mark.parametrize("cpus, jobs, want_pools",
+                         [(2, "1000", [2]), (None, "1000", []), (8, "3", [3])])
+def test_encode_jobs_capped_at_cpu_count(tmp_path, monkeypatch, forks, cpus, jobs, want_pools):
+    # a parallel encode runs in J processes: J - 1 forked workers and this one
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    path = _forty_rows(tmp_path)
     texts = []
     for j in ("1", jobs):
         out = tmp_path / f"j{j}.cnf"
-        assert main(["encode", "--method", "bdd1", "--in", str(path),
+        assert main(["encode", "--method", "bdd1", "--in", path,
                      "--out", str(out), "--jobs", j]) == 0
         texts.append(out.read_text())
-    assert pools == want_pools
+    assert ([len(forks) + 1] if forks else []) == want_pools
     assert texts[0] == texts[1]
+    assert_no_child_left()
+
+
+def _rows_with_a_big_one(tmp_path, first: bool, last: bool):
+    """Seven rows within a node budget of 5, and one over it first and/or last."""
+    big = "+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n"
+    path = tmp_path / "rows.opb"
+    path.write_text(big * first + "".join(f"+1 x{i} +2 x{i + 1} <= 2 ;\n" for i in range(1, 8))
+                    + big * last)
+    return str(path)
+
+
+@pytest.mark.parametrize("first, last", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("method", ["bdd1", "bdd3"])
+def test_budget_in_any_range_exits_4_as_in_process(tmp_path, monkeypatch, capsys, forks,
+                                                    method, first, last):
+    # the big row first lands in the worker's range, last in this process's
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = _rows_with_a_big_one(tmp_path, first, last)
+    out, new = tmp_path / "out.cnf", tmp_path / "new.cnf"
+    out.write_bytes(b"an earlier result\n")
+    errs = []
+    for jobs, target in (("1", out), ("2", out), ("2", new)):
+        assert main(["encode", "--method", method, "--in", path, "--out", str(target),
+                     "--node-budget", "5", "--jobs", jobs]) == 4
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2] and errs[0].startswith("budget exceeded: ")
+    assert out.read_bytes() == b"an earlier result\n"
+    assert not new.exists()
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_encode_jobs_to_stdout_matches_out(tmp_path, monkeypatch, capsysbinary, forks):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path, out = _forty_rows(tmp_path), tmp_path / "out.cnf"
+    assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(out)]) == 0
+    assert main(["encode", "--method", "bdd1", "--in", path, "--jobs", "2"]) == 0
+    assert capsysbinary.readouterr() == (out.read_bytes(), b"")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_encode_without_fork_runs_in_process(tmp_path, monkeypatch):
+    # where the platform has no os.fork (Windows), --jobs encodes in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = _forty_rows(tmp_path)
+    one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
+    assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(one)]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(two),
+                 "--jobs", "2"]) == 0
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_encode_empty_input_with_jobs(tmp_path):
@@ -257,8 +306,12 @@ def test_stats_node_counts_match_collected_terminals(method, tmp_path, capsys):
         assert fields[9:11] == [str(nodes), str(total)], (method, str(c))
 
 
-def _closed_stdout(tmp_path, command, rows, head, env):
-    """Exit code and stderr of a child whose stdout reader leaves after `head` bytes."""
+def _closed_stdout(tmp_path, command, rows, head, env, *options):
+    """Exit code and stderr of a child whose stdout reader leaves after `head` bytes.
+
+    The child leads its own process group, and no process of the group is
+    left once it has exited.
+    """
     path = tmp_path / "rows.opb"
     path.write_text("".join(
         " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
@@ -266,11 +319,15 @@ def _closed_stdout(tmp_path, command, rows, head, env):
     err = tmp_path / "err.txt"
     with open(err, "wb") as sink:
         proc = subprocess.Popen([sys.executable, "-m", "pbdd.cli", command, "--method", "bdd1",
-                                 "--in", str(path)],
-                                stdout=subprocess.PIPE, stderr=sink, bufsize=0, env=env)
+                                 "--in", str(path), *options],
+                                stdout=subprocess.PIPE, stderr=sink, bufsize=0, env=env,
+                                start_new_session=True)
     assert len(proc.stdout.read(head)) == head
     proc.stdout.close()
-    return proc.wait(timeout=60), err.read_text()
+    code = proc.wait(timeout=60)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return code, err.read_text()
 
 
 @pytest.mark.parametrize("rows, head", [(1000, 100), (1, 0)])
@@ -282,6 +339,10 @@ def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     assert _closed_stdout(tmp_path, command, rows, head, env) == (
         3, "cannot write to standard output: Broken pipe\n")
+    if command == "encode" and rows >= 8:
+        # a forked worker's range goes through this process's writes too
+        assert _closed_stdout(tmp_path, command, rows, head, env, "--jobs", "2") == (
+            3, "cannot write to standard output: Broken pipe\n")
 
 
 def test_closed_unbuffered_stdout_exits_3_with_one_line(tmp_path):
@@ -379,8 +440,8 @@ def test_encode_pauses_the_cyclic_collector_only_while_it_runs(tmp_path, monkeyp
     import pbdd.cli
 
     seen = []
-    real = pbdd.cli._encode_chunk
-    monkeypatch.setattr(pbdd.cli, "_encode_chunk",
+    real = pbdd.cli.run_pipeline
+    monkeypatch.setattr(pbdd.cli, "run_pipeline",
                         lambda *a, **k: seen.append(gc.isenabled()) or real(*a, **k))
     big = tmp_path / "big.opb"
     big.write_text("+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n")
@@ -472,6 +533,21 @@ def test_failed_encode_leaves_the_outputs_as_they_were(tmp_path):
     assert main(["encode", "--method", "bdd1", "--in", str(big), "--node-budget", "1",
                  "--out", str(out)]) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.opb", "big.opb"]
+
+
+def test_out_and_map_naming_one_file_is_a_usage_error(run_opb, tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"an earlier result\n")
+    os.link(path, tmp_path / "g")
+    for out, sidecar in (("f", "f"), ("f", "./sub/../f"), ("f", "g"), ("new", "new")):
+        os.makedirs(tmp_path / "sub", exist_ok=True)
+        code, stdout, err = run_cli(["encode", "--method", "bdd1", "--in", run_opb,
+                                     "--out", str(tmp_path / out),
+                                     "--map", str(tmp_path / sidecar)])
+        assert (code, stdout) == (2, "")
+        assert "error: encode --out and --map name the same file" in err
+        assert path.read_bytes() == b"an earlier result\n"
+        assert not (tmp_path / "new").exists()
 
 
 def test_encode_replaces_a_longer_output(run_opb, tmp_path):
