@@ -13,16 +13,19 @@ import os
 import stat
 import sys
 import time
+from bisect import bisect
 from contextlib import contextmanager
+from itertools import accumulate
 
 from .builder import NodeBudgetExceeded, level_widths
 from .constraints import PBConstraint, normalize
-from .dimacs import clause_blocks, dimacs_header, dimacs_text
+from .dimacs import clause_blocks, dimacs_header
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
 from .families import bailleux_family, hosaka_family, random_constraint
 from .opb import Instance, OpbParseError, parse_opb, write_opb
 from .verify import check_encoding, check_equivalent
 # bound here because perfbench/traced.py wraps them by their `pbdd.cli` names
+from .dimacs import dimacs_text  # noqa: F401
 from .verify import check_consistency, check_gac  # noqa: F401
 
 EXIT_OK = 0
@@ -131,46 +134,30 @@ def _write_stdout(data: bytes) -> None:
 def _encode_input(args, write) -> list[str]:
     """Encode the input, pass its DIMACS bytes to `write` and return its variable names.
 
-    The parsed rows are released before the encode and, in-process, the
-    normalized constraints before the writer runs.
+    The encode runs in J processes: `--jobs` capped at the CPU count, or 1
+    below `MIN_PER_JOB` constraints per process or without `os.fork`.  The
+    constraints are cut into J contiguous ranges of about equal term counts.
+    This process encodes the first range, whose aux shift is 0 and whose
+    budget error comes first in file order.  J - 1 forked workers inherit
+    the list (nothing is pickled) and encode the others; each reports its
+    aux and clause counts, reads its aux shift (the aux count of the ranges
+    before its own) and formats its clauses as DIMACS bytes with the shift
+    applied while this process writes the header and its own clauses a
+    block at a time.  Every worker is killed and reaped before this returns.
     """
     inst, constraints = _load_constraints(args.infile)
-    names = inst.names
+    names, num_inputs = inst.names, len(inst.names)
     del inst
     jobs = min(args.jobs, os.cpu_count() or 1)  # never more processes than cores
-    if jobs > 1 and len(constraints) >= MIN_PER_JOB * jobs and hasattr(os, "fork"):
-        # with fewer per job one constraint can set the wall time, unrepaid by forking
-        _encode_forked(constraints, args, names, jobs, write)
-    else:
-        cs = _encode_range(constraints, args, len(names))
-        del constraints
-        write(dimacs_text(cs, method=args.method, names=names).encode("utf-8"))
-    return names
-
-
-def _encode_forked(constraints, args, names, jobs: int, write) -> None:
-    """`_encode_input` in `jobs` processes: `jobs - 1` forked workers and this one.
-
-    The constraints are cut into `jobs` contiguous ranges of about equal
-    term counts.  Each worker inherits the list (nothing is pickled) and
-    encodes a range, this process the last.  A worker reports its aux and
-    clause counts, reads its aux shift (the aux count of the ranges before
-    its own) and sends its clauses as DIMACS bytes with the shift applied.
-    The first failing range in file order sets the budget error, as
-    in-process.  Every worker is killed and reaped before this returns.
-    """
-    import signal
-    from bisect import bisect
-    from itertools import accumulate
-
-    num_inputs = len(names)
+    if len(constraints) < MIN_PER_JOB * jobs or not hasattr(os, "fork"):
+        jobs = 1  # with fewer per job one constraint can set the wall time, unrepaid by forking
     sizes = list(accumulate(len(c.terms) for c in constraints))
     cuts = [0, *(bisect(sizes, sizes[-1] * k // jobs) for k in range(1, jobs)), len(sizes)]
     sys.stdout.flush()  # a worker must not write what this process buffered
     sys.stderr.flush()
     workers = []  # (pid, fd of its counts and bytes, fd of its shift)
     try:
-        for k in range(jobs - 1):
+        for k in range(1, jobs):
             down, shifts = os.pipe()
             report, up = os.pipe()
             pid = os.fork()
@@ -181,38 +168,36 @@ def _encode_forked(constraints, args, names, jobs: int, write) -> None:
             os.close(down)
             os.close(up)
             workers.append((pid, report, shifts))
-        failed = None
-        try:
-            cs = _encode_range(constraints[cuts[-2]:], args, num_inputs)
-        except NodeBudgetExceeded as exc:
-            failed = exc
-        shift = total = 0
+        cs = _encode_range(constraints[:cuts[1]], args, num_inputs)
+        del constraints
+        aux, total = cs.max_var - num_inputs, len(cs.clauses)
         for _, report, shifts in workers:
             counts = os.read(report, 4096)  # one short write, so read whole
             if counts.startswith(b"budget "):
                 raise NodeBudgetExceeded(counts[7:].decode("utf-8"))
             if not counts:
                 raise RuntimeError("an encode worker exited without its result")
-            os.write(shifts, b"%d" % shift)  # the worker waits for it once it reports
+            os.write(shifts, b"%d" % aux)  # the worker waits for it once it reports
             naux, clauses = map(int, counts.split())
-            shift += naux
+            aux += naux
             total += clauses
-        if failed is not None:
-            raise failed
-        tail = "".join(clause_blocks(cs, shift)).encode("utf-8")
-        write(dimacs_header(num_inputs, cs.max_var + shift, total + len(cs.clauses),
-                            args.method, names).encode("utf-8"))
+        write(dimacs_header(num_inputs, num_inputs + aux, total, args.method,
+                            names).encode("utf-8"))
+        for block in clause_blocks(cs):
+            write(block.encode("utf-8"))
         del cs
         for _, report, _ in workers:
             while data := os.read(report, 1 << 20):
                 write(data)
-        write(tail)
     finally:
+        if workers:
+            import signal  # not loaded at start-up, so a run without workers never pays for it
         for pid, report, shifts in workers:
             os.kill(pid, signal.SIGKILL)  # a worker still encoding has nothing left to give
             os.waitpid(pid, 0)
             os.close(report)
             os.close(shifts)
+    return names
 
 
 def _work(constraints, args, num_inputs: int, up: int, down: int):
@@ -312,12 +297,9 @@ def cmd_gen(args) -> int:
         c = random_constraint(args.seed, args.n, args.max_coeff, args.bound_policy)
         header.append(f"seed={args.seed} n={args.n} max_coeff={args.max_coeff} "
                       f"bound_policy={args.bound_policy}")
-    text = write_opb([c], header=header)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    data = write_opb([c], header=header).encode("utf-8")
+    with _output(args.out) as out:
+        (_write_stdout if out is None else out.write)(data)
     return EXIT_OK
 
 

@@ -105,7 +105,7 @@ def assert_no_child_left():
 
 def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch, forks):
     # workers start only with at least MIN_PER_JOB (4) constraints per job,
-    # J - 1 of them, as this process encodes the last range.  Four CPUs, so
+    # J - 1 of them, as this process encodes the first range.  Four CPUs, so
     # no --jobs here is capped.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for rows, jobs, want_forks in ((6, "2", 0), (7, "2", 0), (8, "2", 1), (11, "3", 0)):
@@ -196,7 +196,7 @@ def _rows_with_a_big_one(tmp_path, first: bool, last: bool):
 @pytest.mark.parametrize("method", ["bdd1", "bdd3"])
 def test_budget_in_any_range_exits_4_as_in_process(tmp_path, monkeypatch, capsys, forks,
                                                     method, first, last):
-    # the big row first lands in the worker's range, last in this process's
+    # the big row first lands in this process's range, last in the worker's
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     path = _rows_with_a_big_one(tmp_path, first, last)
     out, new = tmp_path / "out.cnf", tmp_path / "new.cnf"
@@ -242,6 +242,36 @@ def test_encode_empty_input_with_jobs(tmp_path):
     assert main(["encode", "--method", "bdd1", "--in", str(path), "--out", str(out),
                  "--jobs", "2"]) == 0
     assert out.read_text().splitlines()[-1] == "p cnf 0 0"
+
+
+def test_encode_writer_peak_does_not_grow_with_the_clauses(tmp_path, monkeypatch):
+    # allocations are traced from the header on, once the clauses are held:
+    # the writer holds one block of text at a time, never the whole output
+    import tracemalloc
+
+    import pbdd.cli
+    from pbdd import cardinality, write_opb
+
+    header = pbdd.cli.dimacs_header
+
+    def traced_header(*args):
+        tracemalloc.start()
+        return header(*args)
+
+    monkeypatch.setattr(pbdd.cli, "dimacs_header", traced_header)
+    peaks, sizes = [], []
+    for n in (160, 320):
+        path, out = tmp_path / f"card{n}.opb", tmp_path / f"card{n}.cnf"
+        path.write_text(write_opb([cardinality(n, n // 2)]))
+        try:
+            assert main(["encode", "--method", "bdd1", "--in", str(path),
+                         "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(out.stat().st_size)
+    assert sizes[1] > 4 * sizes[0]
+    assert peaks[1] < 1.25 * peaks[0] and peaks[1] < sizes[1] / 2, (peaks, sizes)
 
 
 def test_encode_small_naive_flag(run_opb, tmp_path):
@@ -306,20 +336,15 @@ def test_stats_node_counts_match_collected_terminals(method, tmp_path, capsys):
         assert fields[9:11] == [str(nodes), str(total)], (method, str(c))
 
 
-def _closed_stdout(tmp_path, command, rows, head, env, *options):
-    """Exit code and stderr of a child whose stdout reader leaves after `head` bytes.
+def _closed_stdout(tmp_path, head, env, *argv):
+    """Exit code and stderr of `pbdd argv...` whose stdout reader leaves after `head` bytes.
 
     The child leads its own process group, and no process of the group is
     left once it has exited.
     """
-    path = tmp_path / "rows.opb"
-    path.write_text("".join(
-        " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
-        + f" <= {i % 30 + 10} ;\n" for i in range(rows)))
     err = tmp_path / "err.txt"
     with open(err, "wb") as sink:
-        proc = subprocess.Popen([sys.executable, "-m", "pbdd.cli", command, "--method", "bdd1",
-                                 "--in", str(path), *options],
+        proc = subprocess.Popen([sys.executable, "-m", "pbdd.cli", *argv],
                                 stdout=subprocess.PIPE, stderr=sink, bufsize=0, env=env,
                                 start_new_session=True)
     assert len(proc.stdout.read(head)) == head
@@ -330,6 +355,15 @@ def _closed_stdout(tmp_path, command, rows, head, env, *options):
     return code, err.read_text()
 
 
+def _bdd1_argv(tmp_path, command, rows):
+    """`command --method bdd1 --in F` for a file F of `rows` six-term rows."""
+    path = tmp_path / "rows.opb"
+    path.write_text("".join(
+        " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
+        + f" <= {i % 30 + 10} ;\n" for i in range(rows)))
+    return command, "--method", "bdd1", "--in", str(path)
+
+
 @pytest.mark.parametrize("rows, head", [(1000, 100), (1, 0)])
 @pytest.mark.parametrize("command", ["encode", "stats"])
 def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
@@ -337,20 +371,24 @@ def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
     # and the reader takes 100 bytes; one row's output stays in the child's
     # buffer until the reader has gone
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    assert _closed_stdout(tmp_path, command, rows, head, env) == (
+    argv = _bdd1_argv(tmp_path, command, rows)
+    assert _closed_stdout(tmp_path, head, env, *argv) == (
         3, "cannot write to standard output: Broken pipe\n")
     if command == "encode" and rows >= 8:
         # a forked worker's range goes through this process's writes too
-        assert _closed_stdout(tmp_path, command, rows, head, env, "--jobs", "2") == (
+        assert _closed_stdout(tmp_path, head, env, *argv, "--jobs", "2") == (
             3, "cannot write to standard output: Broken pipe\n")
 
 
 def test_closed_unbuffered_stdout_exits_3_with_one_line(tmp_path):
     # unbuffered stdout is a raw file: a write into a pipe whose reader
     # leaves returns short, and the rest must not be dropped silently
+    # (about 280 kB of gen output, a few hundred kB of DIMACS)
     env = dict(os.environ, PYTHONUNBUFFERED="1")
-    assert _closed_stdout(tmp_path, "encode", 1000, 100, env) == (
-        3, "cannot write to standard output: Broken pipe\n")
+    for head, argv in ((100, _bdd1_argv(tmp_path, "encode", 1000)),
+                       (50, ("gen", "--family", "hosaka", "--n", "40"))):
+        assert _closed_stdout(tmp_path, head, env, *argv) == (
+            3, "cannot write to standard output: Broken pipe\n"), argv
 
 
 def test_verify_ok_exit_code(capsys):

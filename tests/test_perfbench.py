@@ -44,4 +44,9 @@ def test_traced_encode_runs(tmp_path):
                        "--out", str(out))
     assert out.read_text().startswith("c method bdd1\n")
     assert {"cli.main", "parse_opb", "normalize", "run_pipeline", "build",
-            "encode_monotone", "dimacs_text"} <= names
+            "encode_monotone"} <= names
+    plain = tmp_path / "plain.cnf"
+    subprocess.run([sys.executable, "-m", "pbdd.cli", "encode", "--method", "bdd1",
+                    "--in", str(opb), "--out", str(plain)], check=True, cwd=ROOT, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.read_bytes() == plain.read_bytes()
