@@ -1,7 +1,8 @@
 """Command-line front end: encode, stats, verify, gen, equiv.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 parse or
-input error or a closed standard output, 4 node budget exceeded.
+Exit codes: 0 success, 1 verification failure or a failed encode worker,
+2 usage error, 3 parse or input error or a closed standard output, 4 node
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -30,10 +31,20 @@ from .verify import check_consistency, check_gac  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1  # 2, a usage error, is argparse's exit code
+EXIT_WORKER = 1  # what the worker's error would give uncaught in-process
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
-MIN_PER_JOB = 4  # fewer constraints per job are encoded in-process
+# `--jobs` forks only where every process gets a fair share of the work
+# `_work_estimate` predicts: no range more than BALANCE times the even share,
+# and a share of at least MIN_WORK_PER_JOB.  That floor is the break-even of
+# --jobs 2 against --jobs 1 (2 cores, Python 3.11, median of 30 alternating
+# pairs of whole `pbdd encode` runs): 6-term bdd1 rows were slower forked at
+# a share of 596 (17 of 30 pairs) and not at 742 (14 of 30); random n=8 bdd3
+# rows were slower at 464 (18 of 30) and faster at 664 (12 of 30, -4.4 ms).
+# Forking for a file of two or twenty rows cost 6-8 ms there.
+BALANCE = 1.25
+MIN_WORK_PER_JOB = 640
 SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
 VERIFY_MAX_N = 14  # verify checks all 3^n partial assignments of a constraint
 
@@ -96,8 +107,9 @@ def _output(path: str | None):
     """`path` opened for binary writing, its contents replaced only when the block succeeds.
 
     The file is opened without truncation.  If the block raises, a file
-    created here is removed and an existing one is left byte for byte as
-    it was; otherwise it ends where the block's writes end.
+    created here is removed, and an existing one is left byte for byte as
+    it was if the block wrote nothing, else emptied, so that no old bytes
+    follow a partial output; otherwise it ends where the block's writes end.
     """
     if path is None:
         yield None
@@ -107,13 +119,16 @@ def _output(path: str | None):
     except FileExistsError:
         fh, created = open(os.open(path, os.O_WRONLY), "wb"), False
     with fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not a device or a pipe
         try:
             yield fh
         except BaseException:
             if created:
                 os.unlink(path)
+            elif regular and fh.tell():
+                fh.truncate(0)
             raise
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a device or a pipe
+        if regular:
             fh.truncate()
 
 
@@ -131,33 +146,72 @@ def _write_stdout(data: bytes) -> None:
         view = view[raw.write(view):]
 
 
+def _work_estimate(c: PBConstraint, method: str, small_naive: int) -> int:
+    """What encoding `c` costs, in O(terms): the diagram levels it builds.
+
+    `bdd1` and `ite6` build one diagram of a level per term, `bdd2` one of
+    a level per set coefficient bit, and `bdd3` one such per literal.  A
+    row that `--small-naive` takes enumerates its 2^N literal subsets.
+    """
+    if small_naive and len(c.terms) <= small_naive:
+        return 1 << len(c.terms)
+    if method in ("bdd1", "ite6"):
+        return len(c.terms)
+    levels = sum(t.coef.bit_count() for t in c.terms)
+    return levels if method == "bdd2" else len(c.terms) * levels
+
+
+def _cuts(work: list[int], jobs: int) -> list[int]:
+    """The bounds [0, ..., len(work)] of the contiguous ranges that the processes encode.
+
+    For J' from `jobs` down to 2, the cut into J' ranges of about equal
+    `work` is taken if every range is nonempty and within BALANCE of the
+    even share W/J', and that share is at least MIN_WORK_PER_JOB;
+    otherwise everything is one range.  One row holding most of the work
+    thus keeps the encode in-process, where a fork would not be repaid.
+    """
+    sums = [0, *accumulate(work)]
+    total = sums[-1]
+    for j in range(jobs, 1, -1):
+        if total < MIN_WORK_PER_JOB * j:
+            continue
+        cuts = [0]
+        for k in range(1, j):
+            point = total * k / j
+            i = bisect(sums, point)  # the nearer of sums[i - 1] <= point < sums[i]
+            cuts.append(i if i < len(sums) and sums[i] - point < point - sums[i - 1] else i - 1)
+        cuts.append(len(work))
+        spans = [sums[b] - sums[a] for a, b in zip(cuts, cuts[1:])]
+        if min(spans) > 0 and max(spans) * j <= BALANCE * total:
+            return cuts
+    return [0, len(work)]
+
+
 def _encode_input(args, write) -> list[str]:
     """Encode the input, pass its DIMACS bytes to `write` and return its variable names.
 
-    The encode runs in J processes: `--jobs` capped at the CPU count, or 1
-    below `MIN_PER_JOB` constraints per process or without `os.fork`.  The
-    constraints are cut into J contiguous ranges of about equal term counts.
-    This process encodes the first range, whose aux shift is 0 and whose
-    budget error comes first in file order.  J - 1 forked workers inherit
-    the list (nothing is pickled) and encode the others; each reports its
-    aux and clause counts, reads its aux shift (the aux count of the ranges
-    before its own) and formats its clauses as DIMACS bytes with the shift
-    applied while this process writes the header and its own clauses a
-    block at a time.  Every worker is killed and reaped before this returns.
+    The encode runs in as many processes as `_cuts` gives ranges, at most
+    `--jobs` capped at the CPU count, and in one without `os.fork`.  This
+    process encodes the first range, whose aux shift is 0 and whose budget
+    error comes first in file order.  The forked workers inherit the list
+    (nothing is pickled) and encode the others; each reports its aux and
+    clause counts, reads its aux shift (the aux count of the ranges before
+    its own) and formats its clauses as DIMACS bytes with the shift applied
+    while this process writes the header and its own clauses a block at a
+    time.  Every worker is reaped before this returns, and one that did
+    not exit cleanly raises WorkerFailed.
     """
     inst, constraints = _load_constraints(args.infile)
     names, num_inputs = inst.names, len(inst.names)
     del inst
-    jobs = min(args.jobs, os.cpu_count() or 1)  # never more processes than cores
-    if len(constraints) < MIN_PER_JOB * jobs or not hasattr(os, "fork"):
-        jobs = 1  # with fewer per job one constraint can set the wall time, unrepaid by forking
-    sizes = list(accumulate(len(c.terms) for c in constraints))
-    cuts = [0, *(bisect(sizes, sizes[-1] * k // jobs) for k in range(1, jobs)), len(sizes)]
+    jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    cuts = _cuts([_work_estimate(c, args.method, args.small_naive) for c in constraints], jobs)
     sys.stdout.flush()  # a worker must not write what this process buffered
     sys.stderr.flush()
     workers = []  # (pid, fd of its counts and bytes, fd of its shift)
+    live = set()  # the pids not reaped yet
     try:
-        for k in range(1, jobs):
+        for k in range(1, len(cuts) - 1):
             down, shifts = os.pipe()
             report, up = os.pipe()
             pid = os.fork()
@@ -165,18 +219,20 @@ def _encode_input(args, write) -> list[str]:
                 for fd in (shifts, report, *(fd for _, *fds in workers for fd in fds)):
                     os.close(fd)
                 _work(constraints[cuts[k]:cuts[k + 1]], args, num_inputs, up, down)
+            live.add(pid)
             os.close(down)
             os.close(up)
             workers.append((pid, report, shifts))
         cs = _encode_range(constraints[:cuts[1]], args, num_inputs)
         del constraints
         aux, total = cs.max_var - num_inputs, len(cs.clauses)
-        for _, report, shifts in workers:
+        for pid, report, shifts in workers:
             counts = os.read(report, 4096)  # one short write, so read whole
             if counts.startswith(b"budget "):
                 raise NodeBudgetExceeded(counts[7:].decode("utf-8"))
             if not counts:
-                raise RuntimeError("an encode worker exited without its result")
+                _reap(pid, live)
+                raise WorkerFailed("exited without its result")
             os.write(shifts, b"%d" % aux)  # the worker waits for it once it reports
             naux, clauses = map(int, counts.split())
             aux += naux
@@ -186,24 +242,44 @@ def _encode_input(args, write) -> list[str]:
         for block in clause_blocks(cs):
             write(block.encode("utf-8"))
         del cs
-        for _, report, _ in workers:
+        for pid, report, _ in workers:
             while data := os.read(report, 1 << 20):
                 write(data)
+            _reap(pid, live)  # its bytes are whole only if it exited cleanly
     finally:
-        if workers:
+        if live:
             import signal  # not loaded at start-up, so a run without workers never pays for it
-        for pid, report, shifts in workers:
+        for pid in live:
             os.kill(pid, signal.SIGKILL)  # a worker still encoding has nothing left to give
             os.waitpid(pid, 0)
+        for _, report, shifts in workers:
             os.close(report)
             os.close(shifts)
     return names
 
 
+class WorkerFailed(Exception):
+    """An encode worker did not exit cleanly; the message is empty if it said why itself."""
+
+
+def _reap(pid: int, live: set[int]) -> None:
+    """Wait for worker `pid`, which has closed its pipe; WorkerFailed unless it exited 0."""
+    live.discard(pid)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise WorkerFailed(f"killed by signal {-code}")
+    if code:
+        raise WorkerFailed("")
+
+
 def _work(constraints, args, num_inputs: int, up: int, down: int):
     """Encode, report and format one range in a forked worker, ending in `os._exit`.
 
-    It never returns, so no handler of the parent's stack (`_output`'s) runs in it."""
+    It never returns, so no handler of the parent's stack (`_output`'s) runs
+    in it.  It exits 0 once its bytes are written, or after reporting a
+    budget failure; on any other error it prints one line and exits 1.
+    """
+    code = 1  # an interrupt ends the worker quietly, with the parent
     try:
         try:
             cs = _encode_range(constraints, args, num_inputs)
@@ -215,11 +291,15 @@ def _work(constraints, args, num_inputs: int, up: int, down: int):
             if shift:
                 with open(up, "wb", closefd=False) as report:
                     report.write("".join(clause_blocks(cs, int(shift))).encode("utf-8"))
-    except Exception:  # an interrupt ends the worker quietly, with the parent
-        sys.excepthook(*sys.exc_info())
+        code = 0
+    except Exception as exc:
+        import traceback
+
+        print("encode worker failed: " + traceback.format_exception_only(exc)[-1].strip(),
+              file=sys.stderr)
         sys.stderr.flush()
     finally:
-        os._exit(0)  # the parent reads the pipe, not the exit status
+        os._exit(code)
 
 
 STATS_COLUMNS = (("aux", 6), ("bin", 6), ("tern", 6), ("other", 6), ("clauses", 8),
@@ -373,10 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encode constraints with <= N variables by direct "
                         "clause enumeration instead of a diagram (0 = never, "
                         f"at most {SMALL_NAIVE_LIMIT}: the work grows as 2^N)")
-    p.add_argument("--jobs", type=_int_range(1), default=1,
-                   help="encode constraints in parallel forked processes, at most one per "
-                        f"CPU (in-process below {MIN_PER_JOB} constraints per process, or "
-                        "where the platform has no fork)")
+    p.add_argument("--jobs", type=_int_range(1), default=1, metavar="J",
+                   help="encode constraints in up to J forked processes, at most one per "
+                        "CPU, where the estimated work splits evenly into ranges of at least "
+                        f"{MIN_WORK_PER_JOB} units (else in-process, as where the platform "
+                        "has no fork)")
     add_budget(p)
     p.set_defaults(func=cmd_encode)
 
@@ -452,6 +533,10 @@ def main(argv=None) -> int:
     except NodeBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except WorkerFailed as exc:
+        if str(exc):  # else the worker has said why
+            print(f"encode worker failed: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def console_main() -> None:

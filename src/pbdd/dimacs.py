@@ -58,6 +58,9 @@ def dimacs_text(cs: ClauseSet, method: str | None = None,
                     *clause_blocks(cs)])
 
 
-def write_dimacs(cs: ClauseSet, sink, **kwargs) -> None:
-    """Write `dimacs_text` to a file-like sink."""
-    sink.write(dimacs_text(cs, **kwargs))
+def write_dimacs(cs: ClauseSet, sink, method: str | None = None,
+                 names: Sequence[str] | None = None) -> None:
+    """Write `dimacs_text` to a text sink a block at a time, never the whole text."""
+    sink.write(dimacs_header(cs.num_inputs, cs.max_var, len(cs.clauses), method, names))
+    for block in clause_blocks(cs):
+        sink.write(block)

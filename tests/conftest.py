@@ -1,7 +1,25 @@
+import os
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers `os.fork` starts, recorded in the parent."""
+    started, real = [], os.fork
+
+    def recording_fork():
+        pid = real()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return started
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
 

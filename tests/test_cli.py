@@ -83,34 +83,26 @@ def test_encode_multi_constraint_disjoint_aux_ranges(tmp_path):
     assert len(body) == 5 + 3 + 3  # running constraint + two cardinality halves
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the workers `os.fork` starts, recorded in the parent."""
-    started, real = [], os.fork
-
-    def recording_fork():
-        pid = real()
-        if pid:
-            started.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return started
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch, forks):
-    # workers start only with at least MIN_PER_JOB (4) constraints per job,
-    # J - 1 of them, as this process encodes the first range.  Four CPUs, so
-    # no --jobs here is capped.
+    # J' - 1 workers start, as this process encodes the first range, for the
+    # largest J' <= J whose even share of the work (bdd2: the coefficient
+    # bits, about 59 per row here) reaches MIN_WORK_PER_JOB (640): 20 rows
+    # fall short of two shares, 30 rows reach two but not three.  Four CPUs,
+    # so no --jobs here is capped.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for rows, jobs, want_forks in ((6, "2", 0), (7, "2", 0), (8, "2", 1), (11, "3", 0)):
+    for rows, jobs, want_forks in ((6, "2", 0), (20, "2", 0), (30, "2", 1), (30, "3", 1),
+                                   (40, "3", 2)):
         path = tmp_path / "many.opb"
-        lines = [f"+{i + 1} x1 +{i + 2} x2 +{i + 3} x3 <= {2 * i + 3} ;" for i in range(rows)]
+        lines = []
+        for i in range(rows):
+            coefs = [(i * 37 + k * 101) % 1000 + 1 for k in range(12)]
+            lines.append(" ".join(f"+{a} x{(i + 5 * k) % 60 + 1}" for k, a in enumerate(coefs))
+                         + f" <= {sum(coefs) // 2} ;")
         path.write_text("\n".join(lines) + "\n")
         one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
         assert main(["encode", "--method", "bdd2", "--in", str(path),
@@ -125,12 +117,12 @@ def test_encode_parallel_jobs_identical_output(tmp_path, monkeypatch, forks):
 
 @pytest.mark.parametrize("method", ["bdd1", "bdd3"])
 def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method,
-                                                              monkeypatch):
-    # 31 normalized constraints: more than the 4 * 3 + 1 that would give
-    # every chunk a single constraint at --jobs 3, which three CPUs let run
-    import os
-
+                                                              monkeypatch, forks):
+    # 32 normalized constraints of every kind, several per range at --jobs 3,
+    # which three CPUs let run; the rows are tiny, so the work floor is
+    # lifted for them to fork
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr("pbdd.cli.MIN_WORK_PER_JOB", 0)
     lines = []
     for i in range(12):
         lines.append(f"+{i + 2} x{i + 1} -{i % 4 + 1} x{i + 2} +3 x{i + 3} "
@@ -147,31 +139,35 @@ def test_encode_jobs_output_identical_across_chunk_boundaries(tmp_path, method,
     path.write_text("\n".join(lines) + "\n")
     from pbdd.cli import _load_constraints
 
-    assert len(_load_constraints(str(path))[1]) > 4 * 3 + 1
+    assert len(_load_constraints(str(path))[1]) == 32
     texts = []
     for jobs in ("1", "2", "3"):
         out = tmp_path / f"j{jobs}.cnf"
         assert main(["encode", "--method", method, "--in", str(path), "--out", str(out),
                      "--small-naive", "3", "--jobs", jobs]) == 0
         texts.append(out.read_text())
+    assert len(forks) == 1 + 2
     assert texts[0] == texts[1] == texts[2]
     body = [l for l in texts[0].splitlines() if l and l[0] not in "cp"]
     assert "0" in body  # the trivially false rows
 
 
-def _forty_rows(tmp_path) -> str:
-    path = tmp_path / "many.opb"
-    path.write_text("".join(f"+{i % 5 + 1} x1 +{i % 7 + 2} x2 +3 x{i % 4 + 3} <= {i % 9 + 2} ;\n"
-                            for i in range(40)))
+def _six_term_rows(tmp_path, rows: int) -> str:
+    """A file of `rows` six-term rows over 60 variables, so a bdd1 work of 6 per row."""
+    path = tmp_path / "rows.opb"
+    path.write_text("".join(
+        " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
+        + f" <= {i % 30 + 10} ;\n" for i in range(rows)))
     return str(path)
 
 
 @pytest.mark.parametrize("cpus, jobs, want_pools",
                          [(2, "1000", [2]), (None, "1000", []), (8, "3", [3])])
 def test_encode_jobs_capped_at_cpu_count(tmp_path, monkeypatch, forks, cpus, jobs, want_pools):
-    # a parallel encode runs in J processes: J - 1 forked workers and this one
+    # a parallel encode runs in J processes: J - 1 forked workers and this
+    # one; 400 rows give even three processes a share of 800 >= 640
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    path = _forty_rows(tmp_path)
+    path = _six_term_rows(tmp_path, 400)
     texts = []
     for j in ("1", jobs):
         out = tmp_path / f"j{j}.cnf"
@@ -184,10 +180,14 @@ def test_encode_jobs_capped_at_cpu_count(tmp_path, monkeypatch, forks, cpus, job
 
 
 def _rows_with_a_big_one(tmp_path, first: bool, last: bool):
-    """Seven rows within a node budget of 5, and one over it first and/or last."""
+    """Sixteen rows within a node budget of 5, and one over it first and/or last.
+
+    The big row's work is about that of the sixteen together under bdd3
+    (65 and 64) and a third of it under bdd1 (5 and 32), so both cut evenly.
+    """
     big = "+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 <= 20 ;\n"
     path = tmp_path / "rows.opb"
-    path.write_text(big * first + "".join(f"+1 x{i} +2 x{i + 1} <= 2 ;\n" for i in range(1, 8))
+    path.write_text(big * first + "".join(f"+1 x{i} +2 x{i + 1} <= 2 ;\n" for i in range(1, 17))
                     + big * last)
     return str(path)
 
@@ -196,8 +196,10 @@ def _rows_with_a_big_one(tmp_path, first: bool, last: bool):
 @pytest.mark.parametrize("method", ["bdd1", "bdd3"])
 def test_budget_in_any_range_exits_4_as_in_process(tmp_path, monkeypatch, capsys, forks,
                                                     method, first, last):
-    # the big row first lands in this process's range, last in the worker's
+    # the big row first lands in this process's range, last in the worker's;
+    # the rows are tiny, so the work floor is lifted for them to fork
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("pbdd.cli.MIN_WORK_PER_JOB", 0)
     path = _rows_with_a_big_one(tmp_path, first, last)
     out, new = tmp_path / "out.cnf", tmp_path / "new.cnf"
     out.write_bytes(b"an earlier result\n")
@@ -215,7 +217,7 @@ def test_budget_in_any_range_exits_4_as_in_process(tmp_path, monkeypatch, capsys
 
 def test_encode_jobs_to_stdout_matches_out(tmp_path, monkeypatch, capsysbinary, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    path, out = _forty_rows(tmp_path), tmp_path / "out.cnf"
+    path, out = _six_term_rows(tmp_path, 400), tmp_path / "out.cnf"
     assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(out)]) == 0
     assert main(["encode", "--method", "bdd1", "--in", path, "--jobs", "2"]) == 0
     assert capsysbinary.readouterr() == (out.read_bytes(), b"")
@@ -226,7 +228,7 @@ def test_encode_jobs_to_stdout_matches_out(tmp_path, monkeypatch, capsysbinary, 
 def test_encode_without_fork_runs_in_process(tmp_path, monkeypatch):
     # where the platform has no os.fork (Windows), --jobs encodes in-process
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    path = _forty_rows(tmp_path)
+    path = _six_term_rows(tmp_path, 400)
     one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
     assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(one)]) == 0
     monkeypatch.delattr(os, "fork")
@@ -242,6 +244,134 @@ def test_encode_empty_input_with_jobs(tmp_path):
     assert main(["encode", "--method", "bdd1", "--in", str(path), "--out", str(out),
                  "--jobs", "2"]) == 0
     assert out.read_text().splitlines()[-1] == "p cnf 0 0"
+
+
+def _jobs_forks(tmp_path, forks, method, text, *jobs) -> list[int]:
+    """The workers `encode --jobs J` of OPB `text` forks, for each J; output as at --jobs 1."""
+    path = tmp_path / "in.opb"
+    path.write_text(text)
+    counts = []
+    for j in ("1", *jobs):
+        out = tmp_path / f"j{j}.cnf"
+        forks.clear()
+        assert main(["encode", "--method", method, "--in", str(path), "--out", str(out),
+                     "--jobs", j]) == 0
+        counts.append(len(forks))
+        assert out.read_bytes() == (tmp_path / "j1.cnf").read_bytes(), j
+    assert_no_child_left()
+    return counts[1:]
+
+
+@pytest.mark.parametrize("equal", [False, True])
+def test_jobs_fork_a_few_bdd3_rows_two_per_range(tmp_path, monkeypatch, forks, equal):
+    # four random n=16 rows, a bdd3 work of about 1300 each: two ranges of
+    # two rows; three ranges (1, 1 and 2 rows) are not even, so --jobs 3
+    # on three CPUs also gives two processes, for equal rows as for unequal
+    from pbdd import random_constraint, write_opb
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rows = [random_constraint(seed, 16, 1000, 0.5) for seed in range(4)]
+    text = write_opb(rows[:1] * 4 if equal else rows)
+    assert _jobs_forks(tmp_path, forks, "bdd3", text, "2", "3") == [1, 1]
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_jobs_keep_a_dominant_row_in_process(tmp_path, monkeypatch, forks, first):
+    # cardinality(150,75) is 150 of bdd1's 153 units of work, first or
+    # last: no cut is even, so nothing forks even with the floor lifted
+    from pbdd import PBConstraint, cardinality, write_opb
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr("pbdd.cli.MIN_WORK_PER_JOB", 0)
+    rows = [cardinality(150, 75), PBConstraint.from_pairs([(1, 151), (2, 152), (3, 153)], 3)]
+    text = write_opb(rows if first else rows[::-1])
+    assert _jobs_forks(tmp_path, forks, "bdd1", text, "2", "3") == [0, 0]
+
+
+def test_jobs_keep_tiny_files_in_process(tmp_path, monkeypatch, forks):
+    # two 3-term rows cut evenly, but a share of 3 is far below the floor
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    text = "+1 x1 +2 x2 +3 x3 <= 3 ;\n+3 x2 +2 x3 +1 x4 <= 3 ;\n"
+    assert _jobs_forks(tmp_path, forks, "bdd1", text, "2") == [0]
+    monkeypatch.setattr("pbdd.cli.MIN_WORK_PER_JOB", 0)
+    assert _jobs_forks(tmp_path, forks, "bdd1", text, "2") == [1]
+
+
+def test_jobs_cut_balances_work_not_terms(tmp_path, monkeypatch, forks):
+    # under bdd3 a row of ten 8-bit coefficients (80 levels, work 800)
+    # weighs as much as the eight 10-term rows of 1-bit ones after it (100
+    # each): it is a range alone.  A cut by terms (10 and 80) would put it
+    # with three or four of them, too uneven to fork.
+    from pbdd.cli import _cuts, _load_constraints, _work_estimate
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    wide = [255, 383, 447, 479, 495, 503, 507, 509, 510, 639]
+    lines = [" ".join(f"+{a} x{v}" for v, a in enumerate(wide, 1)) + f" <= {sum(wide) // 2} ;"]
+    for r in range(8):
+        lines.append(" ".join(f"+{k % 2 + 1} x{(r + k) % 20 + 1}" for k in range(10)) + " <= 7 ;")
+    text = "\n".join(lines) + "\n"
+    (tmp_path / "in.opb").write_text(text)
+    work = [_work_estimate(c, "bdd3", 0) for c in _load_constraints(str(tmp_path / "in.opb"))[1]]
+    assert work == [800] + [100] * 8
+    assert _cuts(work, 2) == [0, 1, 9]
+    assert _jobs_forks(tmp_path, forks, "bdd3", text, "2") == [1]
+
+
+def test_jobs_cut_leaves_no_range_empty(monkeypatch):
+    # five ranges of [4, 4, 4, 3, 1] hold at most 5/4 of the share 16/5,
+    # but one of them is empty: four processes do as well
+    from pbdd.cli import _cuts
+
+    monkeypatch.setattr("pbdd.cli.MIN_WORK_PER_JOB", 0)
+    assert _cuts([4, 4, 4, 3, 1], 5) == [0, 1, 2, 3, 5]
+    assert _cuts([], 2) == [0, 0]
+
+
+@pytest.mark.parametrize("fault, err", [
+    ("format", "encode worker failed: MemoryError\n"),
+    ("encode", "encode worker failed: MemoryError\n"),
+    ("kill", "encode worker failed: killed by signal 9\n"),
+])
+def test_failed_worker_exits_1_with_one_line_and_no_output(tmp_path, monkeypatch, capfd, forks,
+                                                           fault, err):
+    # the worker fails formatting its shifted clauses, after it has
+    # reported its counts, or encoding, before, or is killed; the parent
+    # must not exit 0 with the clauses it did not receive
+    import signal
+
+    import pbdd.cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, blocks, encode_range = os.getpid(), pbdd.cli.clause_blocks, pbdd.cli._encode_range
+
+    def failing_blocks(cs, shift=0):
+        if shift and fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if shift:
+            raise MemoryError
+        return blocks(cs, shift)
+
+    def failing_encode(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return encode_range(*args)
+
+    if fault == "encode":
+        monkeypatch.setattr(pbdd.cli, "_encode_range", failing_encode)
+    else:
+        monkeypatch.setattr(pbdd.cli, "clause_blocks", failing_blocks)
+    path, out = _six_term_rows(tmp_path, 400), tmp_path / "out.cnf"
+    argv = ["encode", "--method", "bdd1", "--in", path, "--out", str(out), "--jobs", "2"]
+    assert main(argv) == 1
+    assert capfd.readouterr().err == err
+    assert len(forks) == 1 and not out.exists()
+    # an existing output is kept if nothing was written yet, else emptied
+    out.write_bytes(b"an earlier result\n")
+    assert main(argv) == 1
+    assert capfd.readouterr().err == err
+    assert out.read_bytes() == (b"an earlier result\n" if fault == "encode" else b"")
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_encode_writer_peak_does_not_grow_with_the_clauses(tmp_path, monkeypatch):
@@ -357,11 +487,7 @@ def _closed_stdout(tmp_path, head, env, *argv):
 
 def _bdd1_argv(tmp_path, command, rows):
     """`command --method bdd1 --in F` for a file F of `rows` six-term rows."""
-    path = tmp_path / "rows.opb"
-    path.write_text("".join(
-        " ".join(f"+{(i * 7 + k * 13) % 19 + 1} x{(i + k * 5) % 60 + 1}" for k in range(6))
-        + f" <= {i % 30 + 10} ;\n" for i in range(rows)))
-    return command, "--method", "bdd1", "--in", str(path)
+    return command, "--method", "bdd1", "--in", _six_term_rows(tmp_path, rows)
 
 
 @pytest.mark.parametrize("rows, head", [(1000, 100), (1, 0)])
@@ -374,8 +500,9 @@ def test_closed_stdout_exits_3_with_one_line(tmp_path, command, rows, head):
     argv = _bdd1_argv(tmp_path, command, rows)
     assert _closed_stdout(tmp_path, head, env, *argv) == (
         3, "cannot write to standard output: Broken pipe\n")
-    if command == "encode" and rows >= 8:
-        # a forked worker's range goes through this process's writes too
+    if command == "encode" and rows > 1:
+        # a forked worker's range goes through this process's writes too:
+        # 1000 rows are a bdd1 work of 6000, two shares far above the floor
         assert _closed_stdout(tmp_path, head, env, *argv, "--jobs", "2") == (
             3, "cannot write to standard output: Broken pipe\n")
 

@@ -298,6 +298,30 @@ def test_dimacs_text_peak_memory_stays_below_three_texts():
     assert peak < 3 * len(text), peak / len(text)
 
 
+def test_write_dimacs_peak_does_not_grow_with_the_clauses():
+    # traced once the clauses are held: the writer holds one block of text
+    # at a time, never the whole text
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    peaks, sizes = [], []
+    for n in (160, 320):
+        cs, _ = run_pipeline("bdd1", cardinality(n, n // 2))
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            write_dimacs(cs, sink, method="bdd1")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(sink.size)
+    assert sizes[1] > 4 * sizes[0]
+    assert peaks[1] < 1.25 * peaks[0] and peaks[1] < sizes[1] / 2, (peaks, sizes)
+
+
 def test_dimacs_running_example_golden():
     cs, _ = run_pipeline("bdd1", RUN)
     text = dimacs_text(cs, method="bdd1", names=["x1", "x2", "x3"])

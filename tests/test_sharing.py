@@ -149,7 +149,7 @@ def test_shared_store_checks_survive_optimize_flag():
 ROW = [(3, 1), (5, 2), (7, 3), (11, 4), (13, 5)]
 
 
-def test_bdd3_node_budget_counts_per_constraint(tmp_path):
+def test_bdd3_node_budget_counts_per_constraint(tmp_path, monkeypatch, forks):
     c = PBConstraint.from_pairs(ROW, 20)
     _, builds = run_pipeline("bdd3", c)
     total = sum(r.stats.created for r in builds)
@@ -157,15 +157,18 @@ def test_bdd3_node_budget_counts_per_constraint(tmp_path):
     budget = 40
     assert largest <= budget < total  # each build fits alone, together they do not
     run_pipeline("bdd3", c, node_budget=total)
-    # 8 rows reach the pool at --jobs 2; the verdict must not depend on it
+    # 24 rows of bdd3 work 65 (5 terms of 13 bits) fork a worker at --jobs 2
+    # on two CPUs; the verdict must not depend on it
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     path = tmp_path / "rows.opb"
     path.write_text("".join(
-        " ".join(f"+{a} x{v + 5 * r}" for a, v in ROW) + " <= 20 ;\n" for r in range(8)))
+        " ".join(f"+{a} x{v + 5 * r}" for a, v in ROW) + " <= 20 ;\n" for r in range(24)))
     for jobs in ("1", "2"):
         for limit, code in ((budget, 4), (total - 1, 4), (total, 0)):
             argv = ["encode", "--method", "bdd3", "--in", str(path), "--jobs", jobs,
                     "--out", str(tmp_path / f"{jobs}-{limit}.cnf"), "--node-budget", str(limit)]
             assert main(argv) == code, (jobs, limit)
+    assert len(forks) == 3
     assert (tmp_path / f"1-{total}.cnf").read_text() == (tmp_path / f"2-{total}.cnf").read_text()
     # the single-build pipelines keep their per-build budget
     for method in ("bdd1", "bdd2", "ite6"):
