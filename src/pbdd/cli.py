@@ -32,17 +32,25 @@ from .verify import check_consistency, check_gac  # noqa: F401
 EXIT_OK = 0
 EXIT_VIOLATION = 1  # 2, a usage error, is argparse's exit code
 EXIT_WORKER = 1  # what the worker's error would give uncaught in-process
+EXIT_QUIET = 2  # a worker's status only: it ended without printing why
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
 # `--jobs` forks only where every process gets a fair share of the work
 # `_work_estimate` predicts: no range more than BALANCE times the even share,
 # and a share of at least MIN_WORK_PER_JOB.  That floor is the break-even of
-# --jobs 2 against --jobs 1 (2 cores, Python 3.11, median of 30 alternating
-# pairs of whole `pbdd encode` runs): 6-term bdd1 rows were slower forked at
-# a share of 596 (17 of 30 pairs) and not at 742 (14 of 30); random n=8 bdd3
-# rows were slower at 464 (18 of 30) and faster at 664 (12 of 30, -4.4 ms).
-# Forking for a file of two or twenty rows cost 6-8 ms there.
+# --jobs 2 against --jobs 1 (2 cores, Python 3.11, 30 alternating pairs of
+# whole `pbdd encode` runs, the worker's share of the work given): 6-term
+# bdd1 rows were slower forked at 596 (17 of 30 pairs) and not at 742 (14 of
+# 30); random n=8 bdd3 rows were slower at 464 (18 of 30) and faster at 664
+# (12 of 30, -4.4 ms); 6-term bdd2 rows were even at 447 and 659 (15 and 14
+# of 30) and faster at 970 (5 of 30).  Forking for a file of two or twenty
+# rows cost 6-8 ms there.  An ite6 term and a --small-naive subset are
+# scaled to that floor by the same runs: 6-term ite6 rows were slower at a
+# share of 60 terms (22 of 30) and faster at 120 (10 of 30), so a term
+# weighs 5; 8-, 10- and 12-term --small-naive rows were slower or even at
+# 3072 subsets (20 and 13 of 30) and faster at 4096 (12, 11 and 9 of 30),
+# so six subsets weigh 1.
 BALANCE = 1.25
 MIN_WORK_PER_JOB = 640
 SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
@@ -147,16 +155,20 @@ def _write_stdout(data: bytes) -> None:
 
 
 def _work_estimate(c: PBConstraint, method: str, small_naive: int) -> int:
-    """What encoding `c` costs, in O(terms): the diagram levels it builds.
+    """What encoding `c` costs, in O(terms), in units of about one bdd1 level.
 
-    `bdd1` and `ite6` build one diagram of a level per term, `bdd2` one of
-    a level per set coefficient bit, and `bdd3` one such per literal.  A
-    row that `--small-naive` takes enumerates its 2^N literal subsets.
+    `bdd1` builds one diagram of a level per term, `bdd2` one of a level
+    per set coefficient bit, and `bdd3` one such per literal.  `ite6`
+    builds bdd1's diagram but costs about 5 units a term, and a row that
+    `--small-naive` takes enumerates its 2^N literal subsets, about 6 to a
+    unit; MIN_WORK_PER_JOB's comment gives the measurements.
     """
     if small_naive and len(c.terms) <= small_naive:
-        return 1 << len(c.terms)
-    if method in ("bdd1", "ite6"):
+        return (1 << len(c.terms)) // 6
+    if method == "bdd1":
         return len(c.terms)
+    if method == "ite6":
+        return 5 * len(c.terms)
     levels = sum(t.coef.bit_count() for t in c.terms)
     return levels if method == "bdd2" else len(c.terms) * levels
 
@@ -269,7 +281,7 @@ def _reap(pid: int, live: set[int]) -> None:
     if code < 0:
         raise WorkerFailed(f"killed by signal {-code}")
     if code:
-        raise WorkerFailed("")
+        raise WorkerFailed("" if code == EXIT_WORKER else f"exit {code}")
 
 
 def _work(constraints, args, num_inputs: int, up: int, down: int):
@@ -278,8 +290,10 @@ def _work(constraints, args, num_inputs: int, up: int, down: int):
     It never returns, so no handler of the parent's stack (`_output`'s) runs
     in it.  It exits 0 once its bytes are written, or after reporting a
     budget failure; on any other error it prints one line and exits 1.
+    Ended by an interrupt or SystemExit, it exits 2 without a line, and the
+    parent prints one.
     """
-    code = 1  # an interrupt ends the worker quietly, with the parent
+    code = EXIT_QUIET  # an interrupt or exit ends the worker without a line
     try:
         try:
             cs = _encode_range(constraints, args, num_inputs)
@@ -298,6 +312,7 @@ def _work(constraints, args, num_inputs: int, up: int, down: int):
         print("encode worker failed: " + traceback.format_exception_only(exc)[-1].strip(),
               file=sys.stderr)
         sys.stderr.flush()
+        code = EXIT_WORKER
     finally:
         os._exit(code)
 

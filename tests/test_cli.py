@@ -246,7 +246,7 @@ def test_encode_empty_input_with_jobs(tmp_path):
     assert out.read_text().splitlines()[-1] == "p cnf 0 0"
 
 
-def _jobs_forks(tmp_path, forks, method, text, *jobs) -> list[int]:
+def _jobs_forks(tmp_path, forks, method, text, *jobs, options=()) -> list[int]:
     """The workers `encode --jobs J` of OPB `text` forks, for each J; output as at --jobs 1."""
     path = tmp_path / "in.opb"
     path.write_text(text)
@@ -255,7 +255,7 @@ def _jobs_forks(tmp_path, forks, method, text, *jobs) -> list[int]:
         out = tmp_path / f"j{j}.cnf"
         forks.clear()
         assert main(["encode", "--method", method, "--in", str(path), "--out", str(out),
-                     "--jobs", j]) == 0
+                     *options, "--jobs", j]) == 0
         counts.append(len(forks))
         assert out.read_bytes() == (tmp_path / "j1.cnf").read_bytes(), j
     assert_no_child_left()
@@ -297,6 +297,32 @@ def test_jobs_keep_tiny_files_in_process(tmp_path, monkeypatch, forks):
     assert _jobs_forks(tmp_path, forks, "bdd1", text, "2") == [1]
 
 
+@pytest.mark.parametrize("method, naive, terms, rows, weight, want", [
+    # a 10-term row that --small-naive enumerates weighs 1024 // 6: two of
+    # them stay in-process, as six do (a share of 510); eight fork (680)
+    ("bdd1", "10", 10, 2, 170, 0), ("bdd1", "10", 10, 6, 170, 0), ("bdd1", "10", 10, 8, 170, 1),
+    # a 6-term ite6 row weighs 30: 40 rows give a share of 600, 44 of 660
+    ("ite6", "0", 6, 40, 30, 0), ("ite6", "0", 6, 44, 30, 1),
+])
+def test_jobs_floor_holds_for_scaled_weights(tmp_path, monkeypatch, forks,
+                                             method, naive, terms, rows, weight, want):
+    from pbdd.cli import _load_constraints, _work_estimate
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    lines = []
+    for i in range(rows):
+        coefs = [(i * 7 + k * 13) % 19 + 1 for k in range(terms)]
+        lines.append(" ".join(f"+{a} x{(i + k * 3) % 40 + 1}" for k, a in enumerate(coefs))
+                     + f" <= {sum(coefs) // 2} ;")
+    text = "\n".join(lines) + "\n"
+    (tmp_path / "in.opb").write_text(text)
+    work = [_work_estimate(c, method, int(naive))
+            for c in _load_constraints(str(tmp_path / "in.opb"))[1]]
+    assert work == [weight] * rows
+    assert _jobs_forks(tmp_path, forks, method, text, "2",
+                       options=["--small-naive", naive]) == [want]
+
+
 def test_jobs_cut_balances_work_not_terms(tmp_path, monkeypatch, forks):
     # under bdd3 a row of ten 8-bit coefficients (80 levels, work 800)
     # weighs as much as the eight 10-term rows of 1-bit ones after it (100
@@ -331,12 +357,14 @@ def test_jobs_cut_leaves_no_range_empty(monkeypatch):
     ("format", "encode worker failed: MemoryError\n"),
     ("encode", "encode worker failed: MemoryError\n"),
     ("kill", "encode worker failed: killed by signal 9\n"),
+    ("interrupt", "encode worker failed: exit 2\n"),
 ])
 def test_failed_worker_exits_1_with_one_line_and_no_output(tmp_path, monkeypatch, capfd, forks,
                                                            fault, err):
     # the worker fails formatting its shifted clauses, after it has
-    # reported its counts, or encoding, before, or is killed; the parent
-    # must not exit 0 with the clauses it did not receive
+    # reported its counts, or encoding, before, or is killed, or is
+    # interrupted, which it does not print; the parent must not exit 0 with
+    # the clauses it did not receive, nor exit 1 without a line
     import signal
 
     import pbdd.cli
@@ -347,6 +375,8 @@ def test_failed_worker_exits_1_with_one_line_and_no_output(tmp_path, monkeypatch
     def failing_blocks(cs, shift=0):
         if shift and fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
+        if shift and fault == "interrupt":
+            raise KeyboardInterrupt
         if shift:
             raise MemoryError
         return blocks(cs, shift)
