@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure or a failed encode worker,
 2 usage error, 3 parse or input error or a closed standard output, 4 node
 budget exceeded.
+
+`verify` and `families` are imported by the commands that use them, so
+that `encode` does not load them.
 """
 
 from __future__ import annotations
@@ -22,12 +25,10 @@ from .builder import NodeBudgetExceeded, level_widths
 from .constraints import PBConstraint, normalize
 from .dimacs import clause_blocks, dimacs_header
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
-from .families import bailleux_family, hosaka_family, random_constraint
 from .opb import Instance, OpbParseError, parse_opb, write_opb
-from .verify import check_encoding, check_equivalent
-# bound here because perfbench/traced.py wraps them by their `pbdd.cli` names
+# bound here because perfbench/traced.py wraps them by their `pbdd.cli` names;
+# `check_consistency` and `check_gac` resolve in `__getattr__` below
 from .dimacs import dimacs_text  # noqa: F401
-from .verify import check_consistency, check_gac  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1  # 2, a usage error, is argparse's exit code
@@ -54,7 +55,7 @@ EXIT_BUDGET = 4
 BALANCE = 1.25
 MIN_WORK_PER_JOB = 640
 SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
-VERIFY_MAX_N = 14  # verify checks all 3^n partial assignments of a constraint
+VERIFY_MAX_N = 14  # verify: about 2^n steps per clean constraint, 3^n to locate a violation
 
 
 def _encode_range(constraints, args, num_inputs: int) -> ClauseSet:
@@ -362,6 +363,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .families import random_constraint
+    from .verify import check_encoding
     # bdd2 and ite6 do not promise arc-consistency, only conflict detection
     check_arc = args.method in ("bdd1", "bdd3")
     failures = 0
@@ -381,6 +384,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .families import bailleux_family, hosaka_family, random_constraint
     header = [f"family={args.family}"]
     if args.family == "hosaka":
         c = hosaka_family(args.n)
@@ -399,6 +403,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .verify import check_equivalent
     sides = []
     for path in (args.first, args.second):
         inst, constraints = _load_constraints(path)
@@ -521,6 +526,7 @@ def main(argv=None) -> int:
         if args.family == "bailleux":
             if args.a is None or args.b is None:
                 parser.error("gen --family bailleux needs --a and --b")
+            from .families import bailleux_family
             try:
                 bailleux_family(args.a, args.b, args.n)
             except ValueError as exc:
@@ -552,6 +558,13 @@ def main(argv=None) -> int:
         if str(exc):  # else the worker has said why
             print(f"encode worker failed: {exc}", file=sys.stderr)
         return EXIT_WORKER
+
+
+def __getattr__(name: str):
+    if name in ("check_consistency", "check_gac"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def console_main() -> None:

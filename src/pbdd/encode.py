@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from .builder import BuildResult, NodeBudgetExceeded, build
 from .constraints import PBConstraint, Term
-from .propagate import CONFLICT, UnitPropagator
 from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
 
 Clause = tuple[int, ...]
@@ -233,6 +232,7 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
     one level, as in every pipeline, the trail order is that of a rescan
     to fixpoint; a variable on several levels may reorder the units.
     """
+    from .propagate import CONFLICT, UnitPropagator
     nodes, var_of, top, bot = _node_vars(store, root, out)
     # Propagate over dense local ids, so the engine's per-variable lists
     # grow with the diagram rather than with `out.num_inputs`: 1..m are

@@ -1,20 +1,57 @@
 """Brute-force oracles and executable property checkers.
 
-The checkers compare what unit propagation on an encoding derives with
-the arithmetic ground truth (`extendable`) on all 3^n partial assignments
-of a constraint.  They are the machine-checkable form of the encoding
-guarantees: consistency (inextensible assignments force a propagation
-conflict) and generalized arc-consistency (forced literals are actually
-propagated).
+The checkers compare what unit propagation (UP) on an encoding derives
+with the arithmetic ground truth (`extendable`) on all 3^n partial
+assignments of a constraint.  They are the machine-checkable form of the
+encoding guarantees: consistency (inextensible assignments force a
+propagation conflict) and generalized arc-consistency (GAC: forced
+literals are actually propagated).
 
-One depth-first walk, `check_encoding`, serves both properties.  It
-takes the children of each variable in the order None, False, True,
-which is the order of `itertools.product((None, False, True), repeat=n)`,
-so each verdict is the first violation of a plain enumeration.  One
-`UnitPropagator` follows the walk: each step down assumes one literal and
-propagates only its consequences, each step back backtracks the trail,
-and the true weight of the path is carried along.  The cost is one
-incremental propagation per step instead of a full propagation per
+`check_encoding` decides both in two stages.  A certificate, `_certified`,
+proves from about 2^n monotone steps that nothing is violated.  Only when
+it fails does the walk over all 3^n assignments, `_walk`, run to report
+each verdict as the first violation of a plain enumeration.
+
+The certificate is exact because UP is monotone: if A is a subset of B,
+then UP(A) is a subset of UP(B) or B conflicts, and a conflict at A
+persists at B.  Setting a term literal false adds no weight.  With a
+bound of at least 0 and no conflict among the unit clauses alone:
+
+(a) No extendable A conflicts iff no total assignment of weight <= bound
+    conflicts.  Extend A by setting every unassigned term literal false;
+    the weight stays the same.
+(b) Every inextensible A conflicts iff every set T of true term literals
+    with weight > bound conflicts.  A's true literals form such a T, a
+    subset of A of the same weight.  By persistence it is enough to check
+    each T where, adding its terms in order, the weight first exceeds
+    the bound.
+(c) Given (a), GAC holds iff for every such T of weight <= bound, each
+    literal l unassigned in T with weight(T) + coef(l) > bound has its
+    negation in UP(T).  For an extendable A with true literals T, every
+    literal unassigned in A is unassigned in T, and UP(T) is a subset of
+    UP(A), which does not conflict.
+
+One `UnitPropagator` serves two incremental walks, backtracking between
+them.  The first goes over the true/false prefixes of weight <= bound and
+checks (a).  The second goes over the sets T, each term unassigned or its
+literal true, and prunes at the first inextensible step.  It checks (b)
+there and (c) at every extendable node.  If the unit clauses alone
+conflict, every assignment conflicts, so the certificate passes exactly
+when nothing is extendable, that is when the bound is below 0.  Without
+that conflict a bound below 0 leaves GAC nothing to check, and
+consistency fails at the empty assignment.  Where GAC is asked alone,
+the certificate still checks (a), on which (c) rests.  So it passes
+exactly when no verdict asked for is violated and no extendable
+assignment conflicts.  A spurious conflict that GAC does not see sends
+an encoding to the walk, which costs time but stays exact.
+
+The walk takes the children of each variable in the order None, False,
+True, which is the order of `itertools.product((None, False, True),
+repeat=n)`, so each verdict is the first violation of a plain
+enumeration.  The engine follows the walk: each step down assumes one
+literal and propagates only its consequences, each step back backtracks
+the trail, and the true weight of the path is carried along.  The cost is
+one incremental propagation per step instead of a full propagation per
 assignment and property.  Inextensible children are assumed once, for
 consistency only, and nothing below them is visited: the weight only
 grows and propagation is monotone, so conflicts persist.  Below a
@@ -89,7 +126,7 @@ def check_encoding(
     gac: bool = True,
     consistency: bool = True,
 ) -> tuple[Counterexample | None, Counterexample | None]:
-    """Consistency and GAC verdicts of `cnf` as an encoding of `c`, from one walk.
+    """Consistency and GAC verdicts of `cnf` as an encoding of `c`.
 
     Returns `(consistency, gac)`, each the first violation in enumeration
     order or None; a verdict not asked for is None.  Consistency: exactly
@@ -97,12 +134,82 @@ def check_encoding(
     extendable assignment, every unassigned variable whose literal cannot
     be set true has its negation propagated.
     """
-    bound, terms = c.bound, c.terms
-    n = len(terms)
+    n = len(c.terms)
     if n > limit:
         raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
     engine = UnitPropagator(getattr(cnf, "clauses", cnf), num_vars=max(c.variables(), default=0))
     conflict = engine.reset() is not None  # the unit clauses alone refute
+    if _certified(c, engine, conflict, gac, consistency):
+        return None, None
+    return _walk(c, engine, conflict, gac, consistency)
+
+
+def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool,
+               gac: bool, consistency: bool) -> bool:
+    """True when (a), (b) and (c) of the module docstring hold for what is asked.
+
+    `engine` holds the propagation of the unit clauses alone, which
+    `conflict` says refutes them; it is left as it was.
+    """
+    bound, terms = c.bound, c.terms
+    if conflict or bound < 0:
+        return bound < 0 and (conflict or not consistency)
+    n = len(terms)
+    values, trail = engine.values, engine.trail
+    assume, backtrack = engine.assume, engine.backtrack
+    max_coef = max(c.coefficients(), default=0)
+    chosen = [False] * n
+
+    def totals(j: int, weight: int) -> bool:
+        # (a): every extension of the path by the terms from j on, each
+        # literal false or true, of weight <= bound propagates without conflict
+        if j == n:
+            return True
+        coef, lit = terms[j]
+        for step, w in ((-lit, weight), (lit, weight + coef)):
+            if w <= bound:
+                mark = len(trail)
+                ok = assume(step) and totals(j + 1, w)
+                backtrack(mark)
+                if not ok:
+                    return False
+        return True
+
+    def sets(start: int, weight: int) -> bool:
+        # (c) at T, the true literals on the path, of weight <= bound; then
+        # T's extensions by terms from `start` on: (b) at an inextensible one
+        if gac and weight + max_coef > bound:
+            for j, (coef, lit) in enumerate(terms):
+                if (not chosen[j] and weight + coef > bound
+                        and values[abs(lit)] != (2 if lit > 0 else 1)):
+                    return False
+        for j in range(start, n):
+            coef, lit = terms[j]
+            w = weight + coef
+            mark = len(trail)
+            if w > bound:
+                ok = not consistency or not assume(lit)
+            else:
+                chosen[j] = True
+                ok = assume(lit) and sets(j + 1, w)
+                chosen[j] = False
+            backtrack(mark)
+            if not ok:
+                return False
+        return True
+
+    return totals(0, 0) and sets(0, 0)
+
+
+def _walk(c: PBConstraint, engine: UnitPropagator, conflict: bool,
+          gac: bool, consistency: bool) -> tuple[Counterexample | None, Counterexample | None]:
+    """`check_encoding`'s verdicts from the walk over all 3^n partial assignments.
+
+    `engine` holds the propagation of the unit clauses alone, which
+    `conflict` says refutes them.
+    """
+    bound, terms = c.bound, c.terms
+    n = len(terms)
     values, trail = engine.values, engine.trail
     assume, backtrack = engine.assume, engine.backtrack
     # the children of variable j after None: (literal assumed, weight it adds)

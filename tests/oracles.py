@@ -13,12 +13,13 @@ bdd3 pipeline with a fresh store per literal, before the per-literal
 builds shared one store.  The enumerating
 property checkers at the end are the previous implementations of
 `pbdd.verify`'s checkers; they use only `UnitPropagator.run`, which
-propagates every assignment from scratch.  `reference_build` is the
-previous construction loop of `pbdd.builder`, on the previous interval
-algebra (`_RefInterval` with `_Infinity` ends, kept here as a private
-copy), level stores holding explicit terminal entries and
-`NodeStore.mk_node`; it returns public `Interval`s, None for an infinite
-end.
+propagates every assignment from scratch.  `spurious_conflict_enumerate`
+asks the same way whether any extendable assignment conflicts.
+`reference_build` is the previous construction loop of `pbdd.builder`,
+on the previous interval algebra (`_RefInterval` with `_Infinity` ends,
+kept here as a private copy), level stores holding explicit terminal
+entries and `NodeStore.mk_node`; it returns public `Interval`s, None for
+an infinite end.
 """
 
 from __future__ import annotations
@@ -497,6 +498,17 @@ def check_consistency_enumerate(
         if not ok and not conflict:
             return Counterexample(a, None, "inextensible assignment not detected")
     return None
+
+
+def spurious_conflict_enumerate(c: PBConstraint, cnf) -> bool:
+    """Does propagation conflict on some extendable partial assignment?"""
+    variables = c.variables()
+    engine = UnitPropagator(_clause_list(cnf), num_vars=max(variables, default=0))
+    return any(
+        _true_weight(c, a) <= c.bound
+        and engine.run([v if b else -v for v, b in a.items()])[0] == CONFLICT
+        for a in _partial_assignments(variables)
+    )
 
 
 def check_gac_enumerate(

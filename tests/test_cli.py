@@ -763,3 +763,19 @@ def test_non_utf8_input_exits_3_with_its_byte_offset(tmp_path):
     assert code == 3 and "Traceback" not in err
     assert err.startswith("parse error: line 2, column 5: input is not UTF-8: "
                           "byte 0xff at byte offset 18")
+
+
+def test_encode_leaves_the_checking_modules_unloaded(tmp_path, run_opb):
+    # `import pbdd.cli` and an encode load neither the checkers nor the
+    # generators: `verify` and `gen` import them, `ite6` imports `propagate`
+    out = tmp_path / "run.cnf"
+    code = "\n".join([
+        "import sys, pbdd.cli",
+        "unused = ('pbdd.verify', 'pbdd.propagate', 'pbdd.families')",
+        "print([m for m in unused if m in sys.modules])",
+        f"pbdd.cli.main(['encode', '--method', 'bdd3', '--in', {run_opb!r}, '--out', {str(out)!r}])",
+        "print([m for m in unused if m in sys.modules])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
+    assert out.read_bytes().startswith(b"c method bdd3\n")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,14 @@ from pbdd import (
     subset_sum_reachable,
     subset_sum_unsat,
 )
+from pbdd import verify
 from pbdd.cli import main
 
 from oracles import (
     check_consistency_enumerate,
     check_gac_enumerate,
     extendable_enumerate,
+    spurious_conflict_enumerate,
     truth_table_equal,
 )
 
@@ -303,18 +306,82 @@ def _count_assumes(monkeypatch):
 
 
 def test_one_walk_serves_both_verdicts(monkeypatch, capsys):
-    # `pbdd verify --method bdd3 --max-n 8 --seeds 8`: the consistency walk
-    # alone assumes 8,228 literals, and GAC's own walk repeated 7,856 of them
+    # `pbdd verify --method bdd3 --max-n 8 --seeds 8`: the certificate
+    # clears every encoding of both properties from 999 assumed literals,
+    # where the walk over all 3^n partial assignments took 8,228; asked one
+    # at a time, consistency takes 999 and GAC 930
     calls = _count_assumes(monkeypatch)
     assert main(["verify", "--method", "bdd3", "--max-n", "8", "--seeds", "8"]) == 0
     assert capsys.readouterr().out.endswith(": 0 violation(s)\n")
-    assert calls[0] == 8228
+    assert calls[0] == 999
     calls[0] = 0
     for seed in range(8):
         c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
         out = run_pipeline("bdd3", c)[0]
         assert check_consistency(c, out) is None and check_gac(c, out) is None
-    assert calls[0] == 16084
+    assert calls[0] == 1929
+
+
+# Differential tests of the certificate against the walk it saves.  In
+# every mode the certificate passes exactly when the walk finds no
+# violation and no extendable assignment conflicts: it checks the absence
+# of spurious conflicts even where only GAC is asked, since its GAC check
+# rests on it.
+
+def _certificate_matches_walk(c, clauses):
+    """Assert the certificate's verdict in each mode; the set of verdicts seen."""
+    spurious = spurious_conflict_enumerate(c, clauses)
+    seen = set()
+    for gac, consistency in product((True, False), repeat=2):
+        engine = UnitPropagator(clauses, num_vars=max(c.variables(), default=0))
+        conflict = engine.reset() is not None
+        passed = verify._certified(c, engine, conflict, gac, consistency)
+        # the walk runs on the engine as the certificate leaves it
+        walked = verify._walk(c, engine, conflict, gac, consistency)
+        assert passed == (walked == (None, None) and not spurious), (gac, consistency)
+        seen.add(passed)
+    return seen
+
+
+@pytest.mark.parametrize("method", ["bdd1", "bdd2", "bdd3", "ite6"])
+def test_certificate_passes_exactly_when_the_walk_finds_nothing(method):
+    rng = random.Random(7)
+    seen = set()
+    for seed in range(24):
+        c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
+        clauses = run_pipeline(method, c)[0].clauses
+        for cnf in [clauses, *(_drop_one(clauses, rng, 3) if len(c.terms) <= 6 else [])]:
+            seen |= _certificate_matches_walk(c, cnf)
+    assert seen == {True, False}
+
+
+def test_certificate_on_degenerate_cnfs():
+    seen = set()
+    for bound in (-1, 0, 4, 6, 10):
+        c = PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], bound)
+        clauses = run_pipeline("bdd1", c)[0].clauses
+        for cnf in ([], [()], clauses + [()], [(1,), (-1,)], clauses + [(2,), (-2,)],
+                    clauses + [(-3,)], [(1, 2), (-1, 2), (-2,)]):
+            seen |= _certificate_matches_walk(c, cnf)
+    for bound in (-1, 0, 3):
+        empty = PBConstraint.from_pairs([], bound)
+        for cnf in ([], [()], [(1,)], [(-1,)], [(1,), (-1,)]):
+            seen |= _certificate_matches_walk(empty, cnf)
+    assert seen == {True, False}
+
+
+def test_violation_falls_back_to_the_walk_for_the_first_witness(monkeypatch):
+    real, walks = verify._walk, []
+    monkeypatch.setattr(verify, "_walk", lambda *args: walks.append(args) or real(*args))
+    clauses = run_pipeline("bdd1", RUN)[0].clauses
+    assert check_encoding(RUN, clauses) == (None, None) and walks == []
+    mutant = clauses[:2] + clauses[3:]  # without (-3, -4)
+    got = tuple(map(_verdict, check_encoding(RUN, mutant)))
+    assert len(walks) == 1
+    assert got == (_verdict(check_consistency_enumerate(RUN, mutant)),
+                   _verdict(check_gac_enumerate(RUN, mutant)))
+    assert got == (({2: True, 3: True}, None, "inextensible assignment not detected"),
+                   ({3: True}, 1, "literal -1 is forced but was not propagated"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -339,3 +406,25 @@ def test_hypothesis_walk_matches_enumeration(coefs, bound, clauses, method, drop
             clauses = clauses[:drop % len(clauses)] + clauses[drop % len(clauses) + 1:]
     _same_verdicts(c, clauses)
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coefs=st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=0, max_size=5),
+    bound=st.integers(-3, 40),
+    clauses=st.lists(
+        st.lists(st.integers(-8, 8).filter(bool), min_size=0, max_size=4),
+        max_size=12,
+    ),
+    method=st.sampled_from(["bdd1", "bdd2", "bdd3", "ite6", None]),
+    drop=st.integers(0, 200),
+)
+def test_hypothesis_certificate_matches_walk(coefs, bound, clauses, method, drop):
+    c = PBConstraint.from_pairs(
+        [(a, v if positive else -v) for v, (a, positive) in enumerate(coefs, 1)],
+        bound,
+    )
+    if method is not None:
+        clauses = run_pipeline(method, c)[0].clauses
+        if clauses and drop < 2 * len(clauses):
+            clauses = clauses[:drop % len(clauses)] + clauses[drop % len(clauses) + 1:]
+    _certificate_matches_walk(c, clauses)
