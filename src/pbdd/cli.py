@@ -23,7 +23,7 @@ from itertools import accumulate
 
 from .builder import NodeBudgetExceeded, level_widths
 from .constraints import PBConstraint, normalize
-from .dimacs import clause_blocks, dimacs_header
+from .dimacs import BLOCK, clause_blocks, dimacs_header
 from .encode import ClauseSet, PIPELINES, encode_small, run_pipeline
 from .opb import Instance, OpbParseError, parse_opb, write_opb
 # bound here because perfbench/traced.py wraps them by their `pbdd.cli` names;
@@ -58,14 +58,28 @@ SMALL_NAIVE_LIMIT = 16  # encode_small enumerates all 2^N subsets of a row
 VERIFY_MAX_N = 14  # verify: about 2^n steps per clean constraint, 3^n to locate a violation
 
 
-def _encode_range(constraints, args, num_inputs: int) -> ClauseSet:
-    """Encode consecutive constraints against one private allocator."""
+def _encode_range(constraints: list[PBConstraint], args, num_inputs: int,
+                  blocks: list[bytes] | None = None) -> ClauseSet:
+    """Encode consecutive constraints against one private allocator, emptying `constraints`.
+
+    Each constraint is dropped once it is encoded.  Given `blocks`, each
+    full `BLOCK` of clauses is formatted as DIMACS bytes and appended to it
+    as soon as an encode fills it, and those clauses are dropped: the
+    ClauseSet returned holds only the clauses after the first
+    `BLOCK * len(blocks)`, fewer than one block.
+    """
     out = ClauseSet(num_inputs=num_inputs)
-    for c in constraints:
+    constraints.reverse()
+    while constraints:
+        c = constraints.pop()
         if args.small_naive and len(c.terms) <= args.small_naive:
             encode_small(c, out)
         else:
             run_pipeline(args.method, c, out, node_budget=args.node_budget)
+        if blocks is not None and len(out.clauses) >= BLOCK:
+            full = len(out.clauses) - len(out.clauses) % BLOCK
+            blocks.extend(block.encode("utf-8") for block in clause_blocks(out, stop=full))
+            del out.clauses[:full]
     return out
 
 
@@ -86,10 +100,17 @@ def _read_text(path: str) -> str:
 
 
 def _load_constraints(path: str) -> tuple[Instance, list[PBConstraint]]:
+    """The parsed file and its normalized constraints, in file order.
+
+    Each raw row is dropped once it is normalized, so the raw and the
+    normalized lists never both exist in full; the Instance returned
+    keeps its names and an empty row list.
+    """
     inst = parse_opb(_read_text(path))
-    normalized: list[PBConstraint] = []
-    for raw in inst.constraints:
-        normalized.extend(normalize(raw))
+    raws, normalized = inst.constraints, []
+    raws.reverse()
+    while raws:
+        normalized.extend(normalize(raws.pop()))
     return inst, normalized
 
 
@@ -211,7 +232,11 @@ def _encode_input(args, write) -> list[str]:
     clause counts, reads its aux shift (the aux count of the ranges before
     its own) and formats its clauses as DIMACS bytes with the shift applied
     while this process writes the header and its own clauses a block at a
-    time.  Every worker is reaped before this returns, and one that did
+    time.  This process formats its clauses only once the workers, which
+    wait for their shifts, have them; without workers it formats each full
+    block as bytes while it encodes, so between constraints it holds fewer
+    than one block of clauses as tuples, and writes those bytes after the
+    header.  Every worker is reaped before this returns, and one that did
     not exit cleanly raises WorkerFailed.
     """
     inst, constraints = _load_constraints(args.infile)
@@ -236,9 +261,10 @@ def _encode_input(args, write) -> list[str]:
             os.close(down)
             os.close(up)
             workers.append((pid, report, shifts))
-        cs = _encode_range(constraints[:cuts[1]], args, num_inputs)
-        del constraints
-        aux, total = cs.max_var - num_inputs, len(cs.clauses)
+        del constraints[cuts[1]:]  # the workers' ranges
+        blocks = []  # formatted while encoding only where no worker waits for its shift
+        cs = _encode_range(constraints, args, num_inputs, None if workers else blocks)
+        aux, total = cs.max_var - num_inputs, BLOCK * len(blocks) + len(cs.clauses)
         for pid, report, shifts in workers:
             counts = os.read(report, 4096)  # one short write, so read whole
             if counts.startswith(b"budget "):
@@ -252,6 +278,8 @@ def _encode_input(args, write) -> list[str]:
             total += clauses
         write(dimacs_header(num_inputs, num_inputs + aux, total, args.method,
                             names).encode("utf-8"))
+        for data in blocks:
+            write(data)
         for block in clause_blocks(cs):
             write(block.encode("utf-8"))
         del cs

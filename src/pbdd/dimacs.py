@@ -28,9 +28,10 @@ def dimacs_header(num_inputs: int, max_var: int, num_clauses: int,
     return "".join(lines)
 
 
-def clause_blocks(cs: ClauseSet, shift: int = 0):
+def clause_blocks(cs: ClauseSet, shift: int = 0, stop: int | None = None):
     """The DIMACS lines of `cs`'s clauses, one str per `BLOCK` clauses.
 
+    A `stop`, a multiple of `BLOCK`, ends them after that many clauses.
     Each block is one `%` format: the `%d` templates of its clauses,
     joined, applied to all its literals.  A nonzero `shift` moves every
     auxiliary variable up by that much, through a table indexed by signed
@@ -40,7 +41,7 @@ def clause_blocks(cs: ClauseSet, shift: int = 0):
     if shift:
         ren = [*range(cs.num_inputs + 1), *range(cs.num_inputs + 1 + shift, cs.next_var + shift)]
         ren += [-v for v in reversed(ren[1:])]
-    for start in range(0, len(clauses), BLOCK):
+    for start in range(0, len(clauses) if stop is None else stop, BLOCK):
         block = clauses[start:start + BLOCK]
         lits = chain.from_iterable(block)
         yield "".join(map(template.__getitem__, map(len, block))) % tuple(

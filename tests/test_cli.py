@@ -405,12 +405,17 @@ def test_failed_worker_exits_1_with_one_line_and_no_output(tmp_path, monkeypatch
 
 
 def test_encode_writer_peak_does_not_grow_with_the_clauses(tmp_path, monkeypatch):
-    # allocations are traced from the header on, once the clauses are held:
-    # the writer holds one block of text at a time, never the whole output
+    # allocations are traced from the header on, once every range is
+    # encoded: after it nothing in proportion to the clauses is formatted
+    # or joined, only the header and one block of text at a time (here the
+    # tail of under one block).  A block takes about 4.7 times its text to
+    # format (its slice, literal tuple and templates), so 6 times one
+    # block's text bounds the peak; the larger output is 12 blocks
     import tracemalloc
 
     import pbdd.cli
     from pbdd import cardinality, write_opb
+    from pbdd.dimacs import BLOCK
 
     header = pbdd.cli.dimacs_header
 
@@ -419,19 +424,112 @@ def test_encode_writer_peak_does_not_grow_with_the_clauses(tmp_path, monkeypatch
         return header(*args)
 
     monkeypatch.setattr(pbdd.cli, "dimacs_header", traced_header)
-    peaks, sizes = [], []
     for n in (160, 320):
         path, out = tmp_path / f"card{n}.opb", tmp_path / f"card{n}.cnf"
         path.write_text(write_opb([cardinality(n, n // 2)]))
         try:
             assert main(["encode", "--method", "bdd1", "--in", str(path),
                          "--out", str(out)]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        body = [l for l in out.read_bytes().splitlines(keepends=True) if l[:1] not in b"cp"]
+        block = max(sum(map(len, body[i:i + BLOCK])) for i in range(0, len(body), BLOCK))
+        assert peak < 6 * block, (n, peak, block)
+    assert out.stat().st_size > 10 * block
+
+
+def test_encode_peak_is_a_small_multiple_of_the_output(tmp_path):
+    # the whole in-process encode, traced: rows are dropped once normalized,
+    # constraints once encoded, and clauses once a full block of them is
+    # formatted as bytes, so the peak stays near 3 times the output at
+    # either size; holding every clause as a tuple until the header took
+    # about 11 times
+    import tracemalloc
+
+    warm = tmp_path / "warm.cnf"  # first-call allocations (argparse, regex caches)
+    assert main(["encode", "--method", "bdd1", "--in", _six_term_rows(tmp_path, 10),
+                 "--out", str(warm)]) == 0
+    sizes = []
+    for rows in (1500, 3000):
+        path, out = _six_term_rows(tmp_path, rows), tmp_path / f"rows{rows}.cnf"
+        tracemalloc.start()
+        try:
+            assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         sizes.append(out.stat().st_size)
-    assert sizes[1] > 4 * sizes[0]
-    assert peaks[1] < 1.25 * peaks[0] and peaks[1] < sizes[1] / 2, (peaks, sizes)
+        assert peak < 4 * sizes[-1], (rows, peak, sizes[-1])
+    assert sizes[1] > 1.9 * sizes[0]
+
+
+def _cardinality_rows(tmp_path, last: str = "") -> str:
+    """60 bdd1 rows of 30-36 unit terms over 90 variables, 31,646 clauses, then `last`.
+
+    No row's clauses end on a multiple of BLOCK; each row needs at most
+    about 350 nodes.
+    """
+    path = tmp_path / "card.opb"
+    path.write_text("".join(" ".join(f"+1 x{(i * 11 + k) % 90 + 1}" for k in range(30 + i % 7))
+                            + f" <= {10 + i % 5} ;\n" for i in range(60)) + last)
+    return str(path)
+
+
+def test_encode_blocks_identical_across_block_edges(tmp_path, monkeypatch, forks):
+    # --jobs 1 formats each full block as its rows' encodes fill it; the
+    # first range at --jobs 2 and 3 holds over two blocks and is formatted
+    # once the workers have their shifts; all match one library ClauseSet
+    from pbdd import ClauseSet, dimacs_text, normalize, parse_opb, run_pipeline
+    from pbdd.cli import _cuts, _work_estimate
+    from pbdd.dimacs import BLOCK
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    path = _cardinality_rows(tmp_path)
+    inst = parse_opb(Path(path).read_text())
+    constraints = [c for raw in inst.constraints for c in normalize(raw)]
+    cs, ends = ClauseSet(num_inputs=len(inst.names)), []
+    for c in constraints:
+        run_pipeline("bdd1", c, cs)
+        ends.append(len(cs.clauses))
+    assert len(ends) == 60 and all(end % BLOCK for end in ends)
+    for jobs in (2, 3):
+        first = _cuts([_work_estimate(c, "bdd1", 0) for c in constraints], jobs)[1]
+        assert ends[first - 1] > 2 * BLOCK
+    want = dimacs_text(cs, "bdd1", inst.names).encode("utf-8")
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"j{jobs}.cnf"
+        assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        assert out.read_bytes() == want, jobs
+    assert len(forks) == 1 + 2
+    assert_no_child_left()
+
+
+def test_budget_after_formatted_blocks_exits_4(tmp_path, monkeypatch, capsys):
+    # the last row needs about 930 nodes, over the budget, after the 60
+    # rows before it filled seven blocks, which were formatted
+    import pbdd.cli
+
+    formatted = []
+    blocks = pbdd.cli.clause_blocks
+
+    def counted_blocks(*args, **kwargs):
+        for block in blocks(*args, **kwargs):
+            formatted.append(block)
+            yield block
+
+    monkeypatch.setattr(pbdd.cli, "clause_blocks", counted_blocks)
+    path = _cardinality_rows(tmp_path, " ".join(f"+1 x{v}" for v in range(1, 61)) + " <= 30 ;\n")
+    out, new = tmp_path / "out.cnf", tmp_path / "new.cnf"
+    out.write_bytes(b"an earlier result\n")
+    for target in (out, new):
+        assert main(["encode", "--method", "bdd1", "--in", path, "--out", str(target),
+                     "--node-budget", "400"]) == 4
+        assert capsys.readouterr().err == "budget exceeded: build exceeded node budget of 400\n"
+    assert len(formatted) == 2 * 7
+    assert out.read_bytes() == b"an earlier result\n"
+    assert not new.exists()
 
 
 def test_encode_small_naive_flag(run_opb, tmp_path):
