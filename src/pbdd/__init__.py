@@ -22,7 +22,7 @@ _EXPORTS = {
                "subset_sum_unsat"),
     "families": ("bailleux_family", "cardinality", "hosaka_family", "random_constraint"),
     "opb": ("Instance", "OpbParseError", "parse_opb", "write_opb"),
-    "dimacs": ("dimacs_text", "write_dimacs"),
+    "dimacs": ("dimacs_text",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

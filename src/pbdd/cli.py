@@ -83,6 +83,12 @@ def _encode_range(constraints: list[PBConstraint], args, num_inputs: int,
     return out
 
 
+def _write_clauses(cs: ClauseSet, write, shift: int = 0) -> None:
+    """Pass `cs`'s `clause_blocks`, aux shifted by `shift`, to `write` as bytes one at a time."""
+    for block in clause_blocks(cs, shift):
+        write(block.encode("utf-8"))
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of `path`; OpbParseError at the first byte that does not decode."""
     with open(path, "rb") as fh:
@@ -230,14 +236,12 @@ def _encode_input(args, write) -> list[str]:
     error comes first in file order.  The forked workers inherit the list
     (nothing is pickled) and encode the others; each reports its aux and
     clause counts, reads its aux shift (the aux count of the ranges before
-    its own) and formats its clauses as DIMACS bytes with the shift applied
-    while this process writes the header and its own clauses a block at a
-    time.  This process formats its clauses only once the workers, which
-    wait for their shifts, have them; without workers it formats each full
+    its own) and passes its clauses to `_write_clauses`, as this process
+    does after the header.  Without workers, this process formats each full
     block as bytes while it encodes, so between constraints it holds fewer
-    than one block of clauses as tuples, and writes those bytes after the
-    header.  Every worker is reaped before this returns, and one that did
-    not exit cleanly raises WorkerFailed.
+    than one block of clauses as tuples; with them, only once they have
+    their shifts.  Every worker is reaped before this returns, and one that
+    did not exit cleanly raises WorkerFailed.
     """
     inst, constraints = _load_constraints(args.infile)
     names, num_inputs = inst.names, len(inst.names)
@@ -252,6 +256,11 @@ def _encode_input(args, write) -> list[str]:
         for k in range(1, len(cuts) - 1):
             down, shifts = os.pipe()
             report, up = os.pipe()
+            import fcntl  # as `signal` below, loaded only where workers are forked
+            try:  # Linux: the worker may then format up to 1 MiB ahead of this process
+                fcntl.fcntl(up, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except (AttributeError, OSError):
+                pass  # the default size, 64 kB there, is only slower
             pid = os.fork()
             if pid == 0:
                 for fd in (shifts, report, *(fd for _, *fds in workers for fd in fds)):
@@ -280,8 +289,7 @@ def _encode_input(args, write) -> list[str]:
                             names).encode("utf-8"))
         for data in blocks:
             write(data)
-        for block in clause_blocks(cs):
-            write(block.encode("utf-8"))
+        _write_clauses(cs, write)
         del cs
         for pid, report, _ in workers:
             while data := os.read(report, 1 << 20):
@@ -333,7 +341,7 @@ def _work(constraints, args, num_inputs: int, up: int, down: int):
             shift = os.read(down, 64)  # one short write, or none if the parent gave up
             if shift:
                 with open(up, "wb", closefd=False) as report:
-                    report.write("".join(clause_blocks(cs, int(shift))).encode("utf-8"))
+                    _write_clauses(cs, report.write, int(shift))
         code = 0
     except Exception as exc:
         import traceback

@@ -142,20 +142,14 @@ def normalize(raw: RawConstraint) -> list[PBConstraint]:
     Returns one constraint for `<`, `>`, `<=`, `>=` and two for `=`.  The
     conjunction of the results has exactly the models of `raw`.
     """
-    if raw.op == "=":
-        le = normalize(RawConstraint(list(raw.terms), "<=", raw.bound))
-        ge = normalize(RawConstraint(list(raw.terms), ">=", raw.bound))
-        return le + ge
-    if raw.op == "<=":
-        return [_normalize_le(raw.terms, raw.bound)]
-    if raw.op == "<":
-        return [_normalize_le(raw.terms, raw.bound - 1)]
-    if raw.op == ">=":
-        flipped = [(-c, v) for c, v in raw.terms]
-        return [_normalize_le(flipped, -raw.bound)]
-    # ">"
-    flipped = [(-c, v) for c, v in raw.terms]
-    return [_normalize_le(flipped, -(raw.bound + 1))]
+    # over the integers, `< k` is `<= k - 1` and `> k` is `>= k + 1`
+    op, terms, bound = raw.op, raw.terms, raw.bound
+    if op in ("<=", "<"):
+        return [_normalize_le(terms, bound - (op == "<"))]
+    flipped = [(-c, v) for c, v in terms]  # `>= k` is `-sum <= -k`
+    if op == "=":
+        return [_normalize_le(terms, bound), _normalize_le(flipped, -bound)]
+    return [_normalize_le(flipped, -bound - (op == ">"))]
 
 
 def literal_value(lit: int, assignment: Mapping[int, int]) -> int:

@@ -58,10 +58,3 @@ def dimacs_text(cs: ClauseSet, method: str | None = None,
     return "".join([dimacs_header(cs.num_inputs, cs.max_var, len(cs.clauses), method, names),
                     *clause_blocks(cs)])
 
-
-def write_dimacs(cs: ClauseSet, sink, method: str | None = None,
-                 names: Sequence[str] | None = None) -> None:
-    """Write `dimacs_text` to a text sink a block at a time, never the whole text."""
-    sink.write(dimacs_header(cs.num_inputs, cs.max_var, len(cs.clauses), method, names))
-    for block in clause_blocks(cs):
-        sink.write(block)

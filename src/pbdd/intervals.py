@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
+from .robdd import reachable_nodes
+
 
 class Interval(NamedTuple):
     """Closed integer interval [lo, hi]; a None end is infinite."""
@@ -76,24 +78,11 @@ def verify_intervals(
     a framed store, pass `(0,) * r.offset + r.coefs`, as for `eval_bdd`
     and `to_dot`.
     """
-    n = len(coefs)
-    terminal_level = n + 1
+    terminal_level = len(coefs) + 1
     recomputed: dict[int, Interval] = {}
 
-    # iterative post-order so deep diagrams cannot blow the stack
-    order: list[int] = []
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid < 2 or nid in seen:
-            continue
-        seen.add(nid)
-        order.append(nid)
-        _, lo, hi = store.node(nid)
-        stack.append(lo)
-        stack.append(hi)
-    order.sort(key=lambda nid: (-store.node(nid)[0], nid))  # deepest levels first
+    order = sorted(reachable_nodes(store, root),
+                   key=lambda nid: (-store.node(nid)[0], nid))  # deepest levels first
 
     def child_info(child: int) -> tuple[int, Interval]:
         if child < 2:

@@ -85,7 +85,9 @@ class UnitPropagator:
         return True
 
     def _start(self) -> int | None:
-        """Enqueue the unit clauses and propagate; the conflicting clause or None."""
+        """Propagate the unit clauses; the conflicting clause (an empty one first) or None."""
+        if self._empty_clause is not None:
+            return self._empty_clause
         for lit, ci in self._initial_units:
             if not self._enqueue(lit, ci):
                 return ci
@@ -98,8 +100,6 @@ class UnitPropagator:
         are refuted by propagation, else None.
         """
         self._clear()
-        if self._empty_clause is not None:
-            return self._empty_clause
         return self._start()
 
     def run(self, seed: Iterable[int]):
@@ -120,8 +120,6 @@ class UnitPropagator:
                                  f"1..{self.num_vars}")
             if not self._enqueue(lit, None):
                 raise ValueError(f"contradictory seed literal {lit}")
-        if self._empty_clause is not None:
-            return CONFLICT, self.values, self.trail, self.reasons, self._empty_clause
         conflict = self._start()
         status = FIXPOINT if conflict is None else CONFLICT
         return status, self.values, self.trail, self.reasons, conflict

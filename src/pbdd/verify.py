@@ -35,15 +35,12 @@ One `UnitPropagator` serves two incremental walks, backtracking between
 them.  The first goes over the true/false prefixes of weight <= bound and
 checks (a).  The second goes over the sets T, each term unassigned or its
 literal true, and prunes at the first inextensible step.  It checks (b)
-there and (c) at every extendable node.  If the unit clauses alone
-conflict, every assignment conflicts, so the certificate passes exactly
-when nothing is extendable, that is when the bound is below 0.  Without
-that conflict a bound below 0 leaves GAC nothing to check, and
-consistency fails at the empty assignment.  Where GAC is asked alone,
-the certificate still checks (a), on which (c) rests.  So it passes
-exactly when no verdict asked for is violated and no extendable
-assignment conflicts.  A spurious conflict that GAC does not see sends
-an encoding to the walk, which costs time but stays exact.
+there and, where GAC is asked, (c) at every extendable node.  If the
+unit clauses alone conflict, every assignment conflicts, so the
+certificate passes exactly when nothing is extendable, that is when the
+bound is below 0.  Without that conflict a bound below 0 leaves GAC
+nothing to check, and consistency fails at the empty assignment.  So the
+certificate passes exactly when no verdict asked for is violated.
 
 The walk takes the children of each variable in the order None, False,
 True, which is the order of `itertools.product((None, False, True),
@@ -109,10 +106,6 @@ def extendable(c: PBConstraint, assignment: Mapping[int, bool]) -> bool:
     return _true_weight(c, assignment) <= c.bound
 
 
-def _assignment(path) -> dict[int, bool]:
-    return {abs(lit): lit > 0 for lit in path}
-
-
 _SPURIOUS = "spurious conflict on extendable assignment"
 _UNDETECTED = "inextensible assignment not detected"
 _OPEN = object()  # a verdict the walk has not settled yet
@@ -124,12 +117,11 @@ def check_encoding(
     limit: int = DEFAULT_ENUM_LIMIT,
     *,
     gac: bool = True,
-    consistency: bool = True,
 ) -> tuple[Counterexample | None, Counterexample | None]:
     """Consistency and GAC verdicts of `cnf` as an encoding of `c`.
 
     Returns `(consistency, gac)`, each the first violation in enumeration
-    order or None; a verdict not asked for is None.  Consistency: exactly
+    order or None; GAC is None when `gac` is false.  Consistency: exactly
     the inextensible assignments make propagation conflict.  GAC: for each
     extendable assignment, every unassigned variable whose literal cannot
     be set true has its negation propagated.
@@ -139,21 +131,20 @@ def check_encoding(
         raise ValueError(f"constraint has {n} variables, enumeration limit is {limit}")
     engine = UnitPropagator(getattr(cnf, "clauses", cnf), num_vars=max(c.variables(), default=0))
     conflict = engine.reset() is not None  # the unit clauses alone refute
-    if _certified(c, engine, conflict, gac, consistency):
+    if _certified(c, engine, conflict, gac):
         return None, None
-    return _walk(c, engine, conflict, gac, consistency)
+    return _walk(c, engine, conflict, gac)
 
 
-def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool,
-               gac: bool, consistency: bool) -> bool:
-    """True when (a), (b) and (c) of the module docstring hold for what is asked.
+def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool, gac: bool) -> bool:
+    """True when (a), (b) and, if `gac`, (c) of the module docstring hold.
 
     `engine` holds the propagation of the unit clauses alone, which
     `conflict` says refutes them; it is left as it was.
     """
     bound, terms = c.bound, c.terms
     if conflict or bound < 0:
-        return bound < 0 and (conflict or not consistency)
+        return bound < 0 and conflict
     n = len(terms)
     values, trail = engine.values, engine.trail
     assume, backtrack = engine.assume, engine.backtrack
@@ -188,7 +179,7 @@ def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool,
             w = weight + coef
             mark = len(trail)
             if w > bound:
-                ok = not consistency or not assume(lit)
+                ok = not assume(lit)
             else:
                 chosen[j] = True
                 ok = assume(lit) and sets(j + 1, w)
@@ -202,7 +193,7 @@ def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool,
 
 
 def _walk(c: PBConstraint, engine: UnitPropagator, conflict: bool,
-          gac: bool, consistency: bool) -> tuple[Counterexample | None, Counterexample | None]:
+          gac: bool) -> tuple[Counterexample | None, Counterexample | None]:
     """`check_encoding`'s verdicts from the walk over all 3^n partial assignments.
 
     `engine` holds the propagation of the unit clauses alone, which
@@ -218,11 +209,11 @@ def _walk(c: PBConstraint, engine: UnitPropagator, conflict: bool,
     max_coef = max(c.coefficients(), default=0)
     assigned = [False] * n
     path: list[int] = []
-    cons = _OPEN if consistency else None
+    cons = _OPEN
     arc = _OPEN if gac else None
 
     def here(detail: str, variable: int | None = None) -> Counterexample:
-        return Counterexample(_assignment(path), variable, detail)
+        return Counterexample({abs(lit): lit > 0 for lit in path}, variable, detail)
 
     def visit(conflict: bool, weight: int) -> bool:
         """Settle what the current path, which is extendable, violates; True once none is open."""
@@ -277,8 +268,7 @@ def _walk(c: PBConstraint, engine: UnitPropagator, conflict: bool,
         return False
 
     if bound < 0:  # nothing extends: GAC holds, consistency needs a refutation
-        if cons is _OPEN and not conflict:
-            cons = here(_UNDETECTED)
+        cons = None if conflict else here(_UNDETECTED)
     elif not visit(conflict, 0):
         walk(0, 0, conflict)
     return (None if cons is _OPEN else cons), (None if arc is _OPEN else arc)
@@ -310,7 +300,7 @@ def check_gac(
     literal's negation.  Returns the first violation in enumeration order,
     which makes reported witnesses deterministic.
     """
-    return check_encoding(c, cnf, limit, consistency=False)[1]
+    return check_encoding(c, cnf, limit)[1]
 
 
 def check_equivalent(c1: PBConstraint, c2: PBConstraint) -> bool:

@@ -506,6 +506,44 @@ def test_encode_blocks_identical_across_block_edges(tmp_path, monkeypatch, forks
     assert_no_child_left()
 
 
+def test_worker_writes_each_block_before_formatting_the_next(tmp_path, monkeypatch, forks):
+    # the worker's `clause_blocks`, traced from its first call: as each
+    # block after the first is yielded, the traced memory less that block
+    # stays within a fraction of one block, since of the earlier blocks only
+    # the one just written is still referenced (by the writer's loop);
+    # joining the whole range before one write holds every earlier block
+    import json
+    import tracemalloc
+
+    import pbdd.cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, blocks, log = os.getpid(), pbdd.cli.clause_blocks, tmp_path / "worker.log"
+
+    def traced_blocks(*args, **kwargs):
+        if os.getpid() == parent:
+            yield from blocks(*args, **kwargs)
+            return
+        tracemalloc.start()
+        held = []
+        for block in blocks(*args, **kwargs):
+            held.append((tracemalloc.get_traced_memory()[0], len(block)))
+            yield block
+        tracemalloc.stop()
+        log.write_text(json.dumps(held))
+
+    monkeypatch.setattr(pbdd.cli, "clause_blocks", traced_blocks)
+    out = tmp_path / "out.cnf"
+    assert main(["encode", "--method", "bdd1", "--in", _cardinality_rows(tmp_path),
+                 "--out", str(out), "--jobs", "2"]) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+    held = json.loads(log.read_text())
+    assert len(held) >= 4  # three full blocks and a tail
+    rest, size = [m - n for m, n in held[1:]], held[0][1]
+    assert max(rest) - min(rest) < size / 2, (held, size)
+
+
 def test_budget_after_formatted_blocks_exits_4(tmp_path, monkeypatch, capsys):
     # the last row needs about 930 nodes, over the budget, after the 60
     # rows before it filled seven blocks, which were formatted
@@ -877,3 +915,15 @@ def test_encode_leaves_the_checking_modules_unloaded(tmp_path, run_opb):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
     assert out.read_bytes().startswith(b"c method bdd3\n")
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    # `pbdd` loads each name of `__all__` from its module on first use, so a
+    # name left in its export table after the name is gone fails only here
+    import pbdd
+
+    listed = dir(pbdd)
+    for name in pbdd.__all__:
+        getattr(pbdd, name)  # AttributeError where the module lacks it
+        assert name in listed, name
+    assert len(set(pbdd.__all__)) == len(pbdd.__all__)

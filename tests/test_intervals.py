@@ -63,6 +63,12 @@ def test_verify_intervals_detects_injected_fault():
     assert node == r.root
     assert stored == Interval(5, 7)
     assert recomputed == Interval(5, 6)
+    # with every stored interval wrong, the first reported is the lowest id
+    # of the deepest level (6), not node 2, the lowest id, at level 5
+    r = build(random_constraint(1, 6, 50, "uniform"))
+    wrong = dict.fromkeys(r.intervals, Interval(-5, -5))
+    assert verify_intervals(r.coefs, r.store, r.root, wrong)[0] == 4
+    assert [r.store.node(nid)[0] for nid in (2, 4)] == [5, 6]
 
 
 def test_verify_intervals_random_corpus():

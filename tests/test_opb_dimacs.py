@@ -1,4 +1,3 @@
-import io
 import random
 import tracemalloc
 from itertools import product
@@ -20,7 +19,6 @@ from pbdd import (
     normalize,
     parse_opb,
     run_pipeline,
-    write_dimacs,
     write_opb,
 )
 from pbdd.dimacs import BLOCK
@@ -277,9 +275,6 @@ def test_dimacs_templates_match_per_literal_join():
             cs.clauses[-1] = ()
         want = per_literal_dimacs(cs, method="bdd1")
         assert dimacs_text(cs, method="bdd1") == want, count
-        sink = io.StringIO()
-        write_dimacs(cs, sink, method="bdd1")
-        assert sink.getvalue() == want, count
         if count > BLOCK:
             assert any(l > 9_999 for cl in cs.clauses for l in cl)
             assert () in cs.clauses[:BLOCK]
@@ -298,30 +293,6 @@ def test_dimacs_text_peak_memory_stays_below_three_texts():
     assert peak < 3 * len(text), peak / len(text)
 
 
-def test_write_dimacs_peak_does_not_grow_with_the_clauses():
-    # traced once the clauses are held: the writer holds one block of text
-    # at a time, never the whole text
-    class Sink:
-        size = 0
-
-        def write(self, text):
-            self.size += len(text)
-
-    peaks, sizes = [], []
-    for n in (160, 320):
-        cs, _ = run_pipeline("bdd1", cardinality(n, n // 2))
-        sink = Sink()
-        tracemalloc.start()
-        try:
-            write_dimacs(cs, sink, method="bdd1")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        sizes.append(sink.size)
-    assert sizes[1] > 4 * sizes[0]
-    assert peaks[1] < 1.25 * peaks[0] and peaks[1] < sizes[1] / 2, (peaks, sizes)
-
-
 def test_dimacs_running_example_golden():
     cs, _ = run_pipeline("bdd1", RUN)
     text = dimacs_text(cs, method="bdd1", names=["x1", "x2", "x3"])
@@ -329,14 +300,10 @@ def test_dimacs_running_example_golden():
         assert text == fh.read()
 
 
-def test_dimacs_deterministic_and_sink():
-    cs, _ = run_pipeline("bdd1", RUN)
-    a = dimacs_text(cs, method="bdd1")
+def test_dimacs_deterministic():
+    a = dimacs_text(run_pipeline("bdd1", RUN)[0], method="bdd1")
     b = dimacs_text(run_pipeline("bdd1", RUN)[0], method="bdd1")
     assert a == b
-    sink = io.StringIO()
-    write_dimacs(cs, sink, method="bdd1")
-    assert sink.getvalue() == a
 
 
 def test_instance_intern_reuses_ids():

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -290,7 +289,6 @@ def test_walk_settles_only_the_verdicts_asked_for():
     assert gac is not None
     assert check_encoding(RUN, cs) == (None, gac)
     assert check_encoding(RUN, cs, gac=False) == (None, None)
-    assert check_encoding(RUN, cs, consistency=False) == (None, gac)
 
 
 def _count_assumes(monkeypatch):
@@ -309,7 +307,8 @@ def test_one_walk_serves_both_verdicts(monkeypatch, capsys):
     # `pbdd verify --method bdd3 --max-n 8 --seeds 8`: the certificate
     # clears every encoding of both properties from 999 assumed literals,
     # where the walk over all 3^n partial assignments took 8,228; asked one
-    # at a time, consistency takes 999 and GAC 930
+    # at a time, consistency takes 999, and so does GAC, which the same
+    # certificate settles
     calls = _count_assumes(monkeypatch)
     assert main(["verify", "--method", "bdd3", "--max-n", "8", "--seeds", "8"]) == 0
     assert capsys.readouterr().out.endswith(": 0 violation(s)\n")
@@ -319,26 +318,25 @@ def test_one_walk_serves_both_verdicts(monkeypatch, capsys):
         c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
         out = run_pipeline("bdd3", c)[0]
         assert check_consistency(c, out) is None and check_gac(c, out) is None
-    assert calls[0] == 1929
+    assert calls[0] == 1998
 
 
-# Differential tests of the certificate against the walk it saves.  In
-# every mode the certificate passes exactly when the walk finds no
-# violation and no extendable assignment conflicts: it checks the absence
-# of spurious conflicts even where only GAC is asked, since its GAC check
-# rests on it.
+# Differential tests of the certificate against the walk it saves.  With
+# or without GAC the certificate passes exactly when the walk finds no
+# violation; a spurious conflict is a consistency violation.
 
 def _certificate_matches_walk(c, clauses):
-    """Assert the certificate's verdict in each mode; the set of verdicts seen."""
+    """Assert the certificate's verdict with and without GAC; the set of verdicts seen."""
     spurious = spurious_conflict_enumerate(c, clauses)
     seen = set()
-    for gac, consistency in product((True, False), repeat=2):
+    for gac in (True, False):
         engine = UnitPropagator(clauses, num_vars=max(c.variables(), default=0))
         conflict = engine.reset() is not None
-        passed = verify._certified(c, engine, conflict, gac, consistency)
+        passed = verify._certified(c, engine, conflict, gac)
         # the walk runs on the engine as the certificate leaves it
-        walked = verify._walk(c, engine, conflict, gac, consistency)
-        assert passed == (walked == (None, None) and not spurious), (gac, consistency)
+        walked = verify._walk(c, engine, conflict, gac)
+        assert passed == (walked == (None, None)), gac
+        assert not (passed and spurious), gac
         seen.add(passed)
     return seen
 
