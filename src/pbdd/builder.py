@@ -32,11 +32,10 @@ each build has private level stores on levels 1..n.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .constraints import PBConstraint
+from .constraints import PBConstraint, Record
 from .intervals import Interval
 from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
 
@@ -111,27 +110,32 @@ class LevelStore:
         self.nodes.insert(idx, node)
 
 
-@dataclass
-class BuildStats:
-    calls: int = 0        # invocations of the recursive construction step
-    hits: int = 0         # calls answered directly from a level store
-    merges: int = 0       # calls whose two children shared one interval
-    created: int = 0      # decision nodes newly added to the store
+class BuildStats(Record):
+    __slots__ = _fields = ("calls", "hits", "merges", "created")
+
+    def __init__(self, calls: int = 0, hits: int = 0, merges: int = 0, created: int = 0):
+        self.calls = calls        # invocations of the recursive construction step
+        self.hits = hits          # calls answered directly from a level store
+        self.merges = merges      # calls whose two children shared one interval
+        self.created = created    # decision nodes newly added to the store
 
 
-@dataclass
-class BuildResult:
-    constraint: PBConstraint
-    order: tuple[int, ...]          # variable ids, level 1 first
-    coefs: tuple[int, ...]          # coefficient per level
-    level_lits: tuple[int, ...]     # signed input literal per level
-    store: NodeStore
-    root: int
-    level_stores: tuple[LevelStore, ...]  # levels 1..n+1, shared in a framed store
-    stats: BuildStats
-    # store level of build level i is i + offset; `eval_bdd` and `to_dot`
-    # index store levels, so give them `level_lits` behind `offset` fillers
-    offset: int = 0
+class BuildResult(Record):
+    # no __slots__: `intervals` is cached in the instance __dict__
+    _fields = ("constraint", "order", "coefs", "level_lits", "store", "root", "level_stores",
+               "stats", "offset")
+
+    def __init__(self, constraint: PBConstraint, order: tuple[int, ...], coefs: tuple[int, ...],
+                 level_lits: tuple[int, ...], store: NodeStore, root: int,
+                 level_stores: tuple[LevelStore, ...], stats: BuildStats, offset: int = 0):
+        self.constraint, self.store, self.root, self.stats = constraint, store, root, stats
+        self.order = order              # variable ids, level 1 first
+        self.coefs = coefs              # coefficient per level
+        self.level_lits = level_lits    # signed input literal per level
+        self.level_stores = level_stores  # levels 1..n+1, shared in a framed store
+        # store level of build level i is i + offset; `eval_bdd` and `to_dot`
+        # index store levels, so give them `level_lits` behind `offset` fillers
+        self.offset = offset
 
     @property
     def levels(self) -> int:

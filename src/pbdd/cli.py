@@ -90,18 +90,20 @@ def _write_clauses(cs: ClauseSet, write, shift: int = 0) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of `path`; OpbParseError at the first byte that does not decode."""
+    """The UTF-8 text of `path`, less a leading byte-order mark; OpbParseError at
+    the first byte that does not decode (line-1 columns count from after the mark)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line_start = data.rfind(b"\n", 0, exc.start) + 1
+        before = data[line_start:exc.start].decode("utf-8")
         raise OpbParseError(
             f"input is not UTF-8: byte 0x{data[exc.start]:02x} at byte offset "
             f"{exc.start} ({exc.reason})",
             data.count(b"\n", 0, exc.start) + 1,
-            len(data[line_start:exc.start].decode("utf-8")) + 1,
+            len(before if line_start else before.removeprefix("\ufeff")) + 1,
         ) from None
 
 

@@ -7,10 +7,27 @@ comparators and arbitrary signed coefficients to that shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 COMPARATORS = ("<", ">", "<=", ">=", "=")
+
+
+class Record:
+    """`==` and `repr` over the fields named in `_fields`, which `__init__` sets.
+
+    Plain classes spare each command the import of `dataclasses`.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Term(NamedTuple):
@@ -24,21 +41,20 @@ class Term(NamedTuple):
         return abs(self.lit)
 
 
-@dataclass(frozen=True)
-class PBConstraint:
+class PBConstraint(Record):
     """`sum(coef_i * lit_i) <= bound` with every coefficient >= 1.
 
     Each variable occurs in at most one term, and the term order doubles
     as the default decision-diagram variable order.  Coefficients and the
     bound are plain Python ints, so arbitrarily large values are fine.
+    Instances are immutable and hashable.
     """
 
-    terms: tuple[Term, ...]
-    bound: int
+    __slots__ = _fields = ("terms", "bound")
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[Term, ...], bound: int):
         seen = set()
-        for t in self.terms:
+        for t in terms:
             if t.coef < 1:
                 raise ValueError(f"coefficient must be >= 1: {t}")
             if t.var < 1:
@@ -46,6 +62,19 @@ class PBConstraint:
             if t.var in seen:
                 raise ValueError(f"variable x{t.var} occurs twice")
             seen.add(t.var)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.bound))
+
+    def __reduce__(self):  # copy and pickle rebuild through the checking `__init__`
+        return type(self), (self.terms, self.bound)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], bound: int) -> "PBConstraint":
@@ -96,20 +125,20 @@ class PBConstraint:
         return " + ".join(parts) + f" <= {self.bound}"
 
 
-@dataclass
-class RawConstraint:
+class RawConstraint(Record):
     """Unnormalized constraint: signed integer coefficients over variables."""
 
-    terms: list[tuple[int, int]]  # (coefficient, variable id)
-    op: str
-    bound: int
+    __slots__ = _fields = ("terms", "op", "bound")
 
-    def __post_init__(self):
-        if self.op not in COMPARATORS:
-            raise ValueError(f"unknown comparator {self.op!r}")
-        for _, v in self.terms:
+    def __init__(self, terms: list[tuple[int, int]], op: str, bound: int):
+        if op not in COMPARATORS:
+            raise ValueError(f"unknown comparator {op!r}")
+        for _, v in terms:
             if v < 1:
                 raise ValueError(f"variable ids must be >= 1, got {v}")
+        self.terms = terms  # (coefficient, variable id)
+        self.op = op
+        self.bound = bound
 
 
 def _normalize_le(terms: Iterable[tuple[int, int]], bound: int) -> PBConstraint:

@@ -23,10 +23,10 @@ ids per diagram, which `p cnf` counts and no clause mentions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .builder import BuildResult, NodeBudgetExceeded, build
-from .constraints import PBConstraint, Term
+from .constraints import PBConstraint, Record, Term
 from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
 
 Clause = tuple[int, ...]
@@ -34,8 +34,7 @@ Clause = tuple[int, ...]
 PIPELINES = ("bdd1", "bdd2", "bdd3", "ite6")
 
 
-@dataclass
-class ClauseSet:
+class ClauseSet(Record):
     """CNF under construction: clauses plus a monotone variable allocator.
 
     Input variables occupy 1..num_inputs and map to themselves; auxiliary
@@ -43,13 +42,14 @@ class ClauseSet:
     diagram's lo-first post-order (a fresh build's creation order).
     """
 
-    num_inputs: int = 0
-    clauses: list[Clause] = field(default_factory=list)
-    raw_count: int = 0  # clauses emitted before unit simplification
-    next_var: int = field(init=False)
+    __slots__ = _fields = ("num_inputs", "clauses", "raw_count", "next_var")
 
-    def __post_init__(self):
-        self.next_var = self.num_inputs + 1
+    def __init__(self, num_inputs: int = 0, clauses: list[Clause] | None = None,
+                 raw_count: int = 0):
+        self.num_inputs = num_inputs
+        self.clauses = [] if clauses is None else clauses
+        self.raw_count = raw_count  # clauses emitted before unit simplification
+        self.next_var = num_inputs + 1
 
     def add(self, lits) -> Clause:
         """Append `lits` without duplicates; ValueError on complementary or unallocated literals.
@@ -82,8 +82,7 @@ def clause_set_for(c: PBConstraint) -> ClauseSet:
     return ClauseSet(num_inputs=max(c.variables(), default=0))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A constraint rewritten over one fresh bit variable per set coefficient bit."""
 
     original: PBConstraint

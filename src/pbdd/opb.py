@@ -9,10 +9,9 @@ literal `a ~x` is read as `-a x` with `a` subtracted from the bound
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .constraints import PBConstraint, RawConstraint
+from .constraints import PBConstraint, RawConstraint, Record
 
 _OPS = ("<=", ">=", "=", "<", ">")
 _VAR_RE = re.compile(r"x\d+$")
@@ -26,17 +25,20 @@ class OpbParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class Instance:
+class Instance(Record):
     """A parsed OPB file: named variables plus raw constraints.
 
     Internal variable ids are dense from 1, assigned in first-appearance
     order; `names[i-1]` is the external name of id i.
     """
 
-    names: list[str] = field(default_factory=list)
-    name_to_id: dict[str, int] = field(default_factory=dict)
-    constraints: list[RawConstraint] = field(default_factory=list)
+    __slots__ = _fields = ("names", "name_to_id", "constraints")
+
+    def __init__(self, names: list[str] | None = None, name_to_id: dict[str, int] | None = None,
+                 constraints: list[RawConstraint] | None = None):
+        self.names = [] if names is None else names
+        self.name_to_id = {} if name_to_id is None else name_to_id
+        self.constraints = [] if constraints is None else constraints
 
     def intern(self, name: str) -> int:
         vid = self.name_to_id.get(name)
@@ -45,10 +47,6 @@ class Instance:
             vid = len(self.names)
             self.name_to_id[name] = vid
         return vid
-
-
-def _tokens_with_columns(line: str):
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def _integer(tok: str, what: str, lineno: int, col: int) -> int:
@@ -72,7 +70,7 @@ def parse_opb(text: str) -> Instance:
                 "objective lines are not supported (decision problems only)",
                 lineno, 1,
             )
-        tokens = _tokens_with_columns(raw_line)
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw_line)]
         # the trailing ';' may be its own token or glued to the bound
         if tokens[-1][0] == ";":
             tokens = tokens[:-1]

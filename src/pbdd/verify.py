@@ -58,8 +58,7 @@ The walk stops as soon as every verdict asked for is settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .builder import BuildResult, build, level_widths
 from .constraints import PBConstraint
@@ -70,8 +69,7 @@ from .robdd import NodeStore
 DEFAULT_ENUM_LIMIT = 8  # 3^8 = 6561 partial assignments per clause set
 
 
-@dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     """A concrete partial assignment violating a checked property."""
 
     assignment: dict[int, bool]

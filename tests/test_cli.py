@@ -901,6 +901,60 @@ def test_non_utf8_input_exits_3_with_its_byte_offset(tmp_path):
                           "byte 0xff at byte offset 18")
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
+
+
+def test_leading_byte_order_mark_is_skipped(tmp_path, run_opb, capsys):
+    plain, marked = tmp_path / "plain.opb", tmp_path / "marked.opb"
+    plain.write_bytes(b"+1 x1 <= 0 ;\n+2 x1 +3 x2 +5 x3 <= 6 ;\n")
+    marked.write_bytes(BOM + plain.read_bytes())
+    for path in (plain, marked):
+        assert main(["encode", "--method", "bdd1", "--in", str(path),
+                     "--out", str(path.with_suffix(".cnf"))]) == 0
+    assert marked.with_suffix(".cnf").read_bytes() == plain.with_suffix(".cnf").read_bytes()
+    shown = []
+    for path in (plain, marked):
+        assert main(["stats", "--method", "bdd3", "--in", str(path)]) == 0
+        shown.append(_mask_ms(capsys.readouterr().out))
+    assert shown[0] == shown[1]
+    single = tmp_path / "single.opb"
+    single.write_bytes(BOM + b"+2 x1 +3 x2 +5 x3 <= 5 ;\n")
+    assert main(["equiv", str(single), run_opb]) == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
+
+
+def test_decode_error_after_a_byte_order_mark(tmp_path, capsys):
+    bad = tmp_path / "marked.opb"
+    bad.write_bytes(BOM + b"+1 x1 \xff <= 1 ;\n")
+    assert main(["encode", "--method", "bdd1", "--in", str(bad)]) == 3
+    # the byte offset counts the mark's three bytes; the column does not
+    assert capsys.readouterr().err == ("parse error: line 1, column 7: input is not UTF-8: "
+                                       "byte 0xff at byte offset 9 (invalid start byte)\n")
+
+
+def test_no_command_loads_dataclasses(tmp_path, run_opb):
+    # the record types are plain classes: `dataclasses`, and `inspect` with
+    # it, would add to every command's start-up.  Some `site` setups load it
+    # themselves; there nothing can be told.
+    out = tmp_path / "run.cnf"
+    code = "\n".join([
+        "import sys",
+        "before = 'dataclasses' in sys.modules",
+        "import pbdd.cli",
+        f"pbdd.cli.main(['encode', '--method', 'bdd3', '--in', {run_opb!r}, '--out', {str(out)!r}])",
+        f"pbdd.cli.main(['stats', '--method', 'ite6', '--in', {run_opb!r}])",
+        "pbdd.cli.main(['verify', '--method', 'bdd3', '--max-n', '4', '--seeds', '6'])",
+        "print(before, 'dataclasses' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, after = proc.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("`dataclasses` is loaded before pbdd is imported")
+    assert after == "False"
+    assert "0 violation(s)" in proc.stdout
+
+
 def test_encode_leaves_the_checking_modules_unloaded(tmp_path, run_opb):
     # `import pbdd.cli` and an encode load neither the checkers nor the
     # generators: `verify` and `gen` import them, `ite6` imports `propagate`

@@ -313,6 +313,18 @@ def test_clause_set_checks_survive_optimize_flag():
         "    ls.insert(Interval(None, 2), 9)\n"
         "except ValueError:\n"
         "    print('infinite end refused')\n"
+        # the constraint types check in their constructors, not in asserts
+        "from pbdd import PBConstraint, RawConstraint, Term\n"
+        "for terms in ((Term(0, 1),), (Term(1, 0),), (Term(1, 2), Term(2, -2))):\n"
+        "    try:\n"
+        "        PBConstraint(terms, 1)\n"
+        "    except ValueError as exc:\n"
+        "        print('constraint refused:', exc)\n"
+        "for op, var in (('=<', 1), ('<=', 0)):\n"
+        "    try:\n"
+        "        RawConstraint([(1, var)], op, 1)\n"
+        "    except ValueError as exc:\n"
+        "        print('raw constraint refused:', exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -321,7 +333,12 @@ def test_clause_set_checks_survive_optimize_flag():
     assert proc.stdout.splitlines() == [
         "refused", "accepted", *["selector refused"] * 5, "overlap refused",
         "inconsistent children refused", "contradictory seed refused",
-        *["seed out of range refused"] * 2, "infinite end refused"]
+        *["seed out of range refused"] * 2, "infinite end refused",
+        "constraint refused: coefficient must be >= 1: Term(coef=0, lit=1)",
+        "constraint refused: variable ids must be >= 1: Term(coef=1, lit=0)",
+        "constraint refused: variable x2 occurs twice",
+        "raw constraint refused: unknown comparator '=<'",
+        "raw constraint refused: variable ids must be >= 1, got 0"]
 
 
 def test_count_regression_bounds():
