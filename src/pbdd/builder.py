@@ -5,15 +5,15 @@ lookup that lands inside a stored interval reuses the node, so every
 distinct sub-diagram is built exactly once and the result is reduced by
 construction.
 
-The construction loop runs on plain ints.  A level's finite entries are
-three parallel lists sorted by lower bound (lower bounds, upper bounds,
-node ids), owned by its `LevelStore`.  The two terminal entries are
-implicit: at level i a bound k < 0 gives FALSE and k >= a_i + ... + a_n
-gives TRUE.  Intervals travel as `(lo, hi)` int pairs, the shape of the
-public `Interval`: only a terminal has an infinite end, written None, and
-it never takes part in arithmetic, so coefficients of any size stay
-exact.  Nodes are added straight to the `NodeStore`'s table.  The level
-stores are the only record of a build's intervals:
+The construction loop runs on plain ints.  A level's pairs are
+`(lo, hi, node)` triples sorted by lower bound, owned by its
+`LevelStore`, from the FALSE terminal's (k < 0) to the TRUE terminal's
+(k >= a_i + ... + a_n at level i); a lookup pushes the triple it finds
+as it is.  A stored terminal's infinite end is None, as in the public
+`Interval`; inside the loop it is a finite int sentinel beyond every
+interval of the build, so coefficients of any size stay exact.  Nodes
+are added straight to the `NodeStore`'s table, and every check is a
+`raise`.  The level stores are the only record of a build's intervals:
 `BuildResult.root_interval` and `intervals` read them from there.
 
 A level store depends only on the coefficient suffix a_i..a_n: its `top`
@@ -47,32 +47,28 @@ class NodeBudgetExceeded(RuntimeError):
 class LevelStore:
     """Disjoint (interval, node) pairs for one level, keyed by interval lower bound.
 
-    The finite pairs are the parallel lists `lows`, `his` and `nodes`,
-    sorted by lower bound.  The terminal pairs (-inf, -1] -> FALSE and
-    [top, +inf) -> TRUE are implicit, `top` being the level's suffix sum;
-    `len` counts them.  Disjointness makes lower-bound bisection
-    sufficient for lookups; it is checked on every insert (ValueError).
+    `triples` holds every pair as `(lo, hi, node)` in interval order,
+    from the terminal (None, -1, FALSE) to (top, None, TRUE), `top` being
+    the level's suffix sum; `len` counts them.  `lows` holds the lower
+    bounds for bisection, with -1 standing in for the FALSE pair's None.
+    Disjointness makes lower-bound bisection sufficient for lookups; it is
+    checked on every insert (ValueError).
     """
 
-    __slots__ = ("level", "top", "lows", "his", "nodes")
+    __slots__ = ("level", "top", "lows", "triples")
 
     def __init__(self, level: int, top: int):
         self.level = level
         self.top = top
-        self.lows: list[int] = []
-        self.his: list[int] = []
-        self.nodes: list[int] = []
+        self.lows: list[int] = [-1, top]
+        self.triples: list[tuple] = [(None, -1, FALSE_NODE), (top, None, TRUE_NODE)]
 
     def __len__(self) -> int:
-        return len(self.nodes) + 2
+        return len(self.triples)
 
     def entries(self) -> list[tuple[Interval, int]]:
         """Every pair in interval order, terminals included."""
-        return [
-            (Interval(None, -1), FALSE_NODE),
-            *((Interval(lo, hi), node) for lo, hi, node in zip(self.lows, self.his, self.nodes)),
-            (Interval(self.top, None), TRUE_NODE),
-        ]
+        return [(Interval(lo, hi), node) for lo, hi, node in self.triples]
 
     def search(self, k: int) -> tuple[Interval, int] | None:
         """The unique stored pair whose interval contains `k`, if any."""
@@ -80,34 +76,25 @@ class LevelStore:
             return Interval(None, -1), FALSE_NODE
         if k >= self.top:
             return Interval(self.top, None), TRUE_NODE
-        idx = bisect_right(self.lows, k) - 1
-        if idx >= 0 and k <= self.his[idx]:
-            return Interval(self.lows[idx], self.his[idx]), self.nodes[idx]
-        return None
+        lo, hi, node = self.triples[bisect_right(self.lows, k) - 1]
+        return (Interval(lo, hi), node) if k <= hi else None
 
     def insert(self, iv: Interval, node: int) -> None:
         """Store `iv` -> `node`; ValueError if `iv` is empty, infinite or overlaps.
 
-        `build` calls `_put` with the position its lookup bisected, so a
-        miss bisects once; inlining `_put` there measured no gain.
+        `build` runs the same checks inline, at the position its lookup
+        bisected, so a miss bisects once.
         """
         lo, hi = iv
         if lo is None or hi is None:
             raise ValueError(f"interval {iv} overlaps a terminal entry")
         if lo > hi:
             raise ValueError("refusing to insert an empty interval")
-        self._put(bisect_right(self.lows, lo), lo, hi, node)
-
-    def _put(self, idx: int, lo: int, hi: int, node: int) -> None:
-        """Insert finite, non-empty [lo, hi] at position `idx` of the sorted lists."""
-        lows = self.lows
-        below = self.his[idx - 1] if idx else -1
-        above = lows[idx] if idx < len(lows) else self.top
-        if not below < lo or not hi < above:
+        idx = bisect_right(self.lows, lo)
+        if not idx or self.triples[idx - 1][1] >= lo or hi >= self.lows[idx]:
             raise ValueError(f"interval [{lo}, {hi}] overlaps a stored entry at level {self.level}")
-        lows.insert(idx, lo)
-        self.his.insert(idx, hi)
-        self.nodes.insert(idx, node)
+        self.lows.insert(idx, lo)
+        self.triples.insert(idx, (lo, hi, node))
 
 
 class BuildStats(Record):
@@ -165,7 +152,7 @@ class BuildResult(Record):
             entries = at_level[i]
             if entries is None:
                 ls = self.level_stores[i]
-                entries = at_level[i] = dict(zip(ls.nodes, map(Interval, ls.lows, ls.his)))
+                entries = at_level[i] = {nd: Interval(lo, hi) for lo, hi, nd in ls.triples[1:-1]}
             found[nid] = entries[nid]
         return found
 
@@ -219,93 +206,116 @@ def build(
 
     # levels[i-1] serves the suffix a_i..a_n (levels[n] the empty one),
     # interned bottom-up as (a_i, level store of a_(i+1)..a_n)
-    below = suffixes.get(None)
-    if below is None:
-        below = suffixes[None] = LevelStore(depth + 1, 0)
-    levels = [below]
-    for i in range(n, 0, -1):
-        a = coefs[i - 1]
-        ls = suffixes.get((a, below))
+    levels = []
+    key, top = None, 0
+    for i in range(n + 1, 0, -1):
+        ls = suffixes.get(key)
         if ls is None:
-            ls = suffixes[a, below] = LevelStore(offset + i, below.top + a)
+            ls = suffixes[key] = LevelStore(offset + i, top)
+        elif ls.top != top:
+            raise ValueError(f"level store at level {ls.level} has top {ls.top}, "
+                             f"not its suffix sum {top}")
         levels.append(ls)
-        below = ls
+        if i > 1:
+            a = coefs[i - 2]
+            key, top = (a, ls), top + a
     levels.reverse()
     suffix = [0, *(ls.top for ls in levels)]  # suffix[i] = a_i + ... + a_n
     coef_at = (0, *coefs)
     lows_at = [None, *(ls.lows for ls in levels)]
-    his_at = [None, *(ls.his for ls in levels)]
-    nodes_at = [None, *(ls.nodes for ls in levels)]
-    true_at = [(top, None, TRUE_NODE) for top in suffix]
-    false_entry = (None, -1, FALSE_NODE)
+    triples_at = [None, *(ls.triples for ls in levels)]
+    # terminal results end in finite int sentinels: every finite interval
+    # of this build lies in [0, pos), so the max/min of the children's ends
+    # below give the intervals that infinite ends would
+    pos = suffix[1] + 1
+    false_triple = (-pos, -1, FALSE_NODE)
+    true_at = [(top, pos, TRUE_NODE) for top in suffix]
 
     table = store._nodes
     unique = store._unique
     before = len(table)
-    cap = None if node_budget is None else before + node_budget
+    last = None if node_budget is None else before + 1 + node_budget  # highest id allowed
     merges = made = 0
 
     # Explicit stack instead of recursion: coefficient decomposition can
     # produce n*(log a_max + 1) levels, well past the recursion limit.
-    # (i, k) is a call at level i with bound k.  (-i, idx) combines the two
-    # results on top of `results` into a level-i entry at position idx of
-    # that level's lists: only deeper levels change between the call's
+    # `results` holds the triples of finished calls.  The stack holds one
+    # int per pending step: a hi call with bound k as k - a + pos > 0, or
+    # a combine as ~idx < 0.  `i` is the level of the call that finished
+    # last, so a pending hi call is at level i (its lo sibling's) and a
+    # pending combine at level i - 1 (its children's parent).  The combine
+    # merges the two triples on top of `results` into a level entry at
+    # position idx: only deeper levels change between the call's
     # bisection and its combine, so the position stays valid.
-    results: list[tuple[int | None, int | None, int]] = []
-    stack: list[tuple[int, int]] = [(1, c.bound)]
-    while stack:
-        i, k = stack.pop()
-        if i < 0:
-            i, idx = -i, k
-            t_lo, t_hi, t_node = results.pop()
-            f_lo, f_hi, f_node = results.pop()
-            a = coef_at[i]
-            if f_lo == t_lo and f_hi == t_hi:
-                merges += 1
-                if t_node < 2:
-                    raise ValueError(f"both children at level {i + offset} are one terminal")
-                lo, hi, node = entry = (t_lo + a, t_hi, t_node)
-            else:
-                node = f_node
-                if f_node != t_node:
-                    key = (i + offset, f_node, t_node)
-                    node = unique.get(key)
-                    if node is None:
-                        store.check_children(i + offset, f_node, t_node)
-                        table.append(key)
-                        node = len(table) + 1
-                        unique[key] = node
-                        if cap is not None and len(table) > cap:
-                            raise NodeBudgetExceeded(
-                                f"build exceeded node budget of {node_budget}"
-                            )
-                # [f_lo, f_hi] meets [t_lo + a, t_hi + a]; an infinite end
-                # on both sides would have made the two intervals equal
-                lo = f_lo if t_lo is None or (f_lo is not None and f_lo >= t_lo + a) else t_lo + a
-                hi = f_hi if t_hi is None or (f_hi is not None and f_hi <= t_hi + a) else t_hi + a
-                entry = (lo, hi, node)
-                made += 1
-            if not lo <= hi:
-                raise ValueError(f"empty interval [{lo}, {hi}] for a node at level {i + offset}")
-            levels[i - 1]._put(idx, lo, hi, node)
-            results.append(entry)
-            continue
+    results: list[tuple[int, int, int]] = []
+    push_result, pop_result = results.append, results.pop
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    shift_at = [a - pos for a in coef_at]
+    i, k = 1, c.bound
+    while True:
         while True:  # follow lo branches down; hi calls wait on the stack
             if k < 0:
-                results.append(false_entry)
+                push_result(false_triple)
                 break
             if k >= suffix[i]:
-                results.append(true_at[i])
+                push_result(true_at[i])
                 break
-            lows = lows_at[i]
-            idx = bisect_right(lows, k)
-            if idx and k <= his_at[i][idx - 1]:
-                idx -= 1
-                results.append((lows[idx], his_at[i][idx], nodes_at[i][idx]))
+            idx = bisect_right(lows_at[i], k)
+            found = triples_at[i][idx - 1]
+            if k <= found[1]:
+                push_result(found)
                 break
-            stack.append((-i, idx))
-            stack.append((i + 1, k - coef_at[i]))  # hi branch: literal true
-            i += 1                                  # lo branch evaluated first
+            push(~idx)
+            push(k - shift_at[i])  # hi branch: literal true
+            i += 1                  # lo branch evaluated first
+        while stack:
+            step = pop()
+            if step > 0:
+                break
+            idx = ~step
+            i -= 1
+            t_lo, t_hi, t_node = pop_result()
+            f_lo, f_hi, f_node = pop_result()
+            a, level = coef_at[i], i + offset
+            if f_node == t_node:  # one child, so one interval
+                merges += 1
+                if t_node < 2:
+                    raise ValueError(f"both children at level {level} are one terminal")
+                lo, hi, node = triple = (t_lo + a, t_hi, t_node)
+            else:
+                key = (level, f_node, t_node)
+                node = unique.get(key)
+                if node is None:
+                    size = len(table) + 2  # the new node's id
+                    if not (-1 < f_node < size and -1 < t_node < size) \
+                            or f_node > 1 and table[f_node - 2][0] <= level \
+                            or t_node > 1 and table[t_node - 2][0] <= level:
+                        raise ValueError(f"a child unknown or not below level {level}")
+                    table.append(key)
+                    unique[key] = node = size
+                    if last is not None and node > last:
+                        raise NodeBudgetExceeded(f"build exceeded node budget of {node_budget}")
+                # [f_lo, f_hi] meets [t_lo + a, t_hi + a]
+                lo = t_lo + a
+                if f_lo > lo:
+                    lo = f_lo
+                hi = t_hi + a
+                if f_hi < hi:
+                    hi = f_hi
+                triple = (lo, hi, node)
+                made += 1
+            if lo > hi:
+                raise ValueError(f"empty interval [{lo}, {hi}] for a node at level {level}")
+            lows, triples = lows_at[i], triples_at[i]
+            if triples[idx - 1][1] >= lo or hi >= lows[idx]:
+                raise ValueError(f"interval [{lo}, {hi}] overlaps a stored entry at level {level}")
+            lows.insert(idx, lo)
+            triples.insert(idx, triple)
+            push_result(triple)
+        else:
+            break
+        k = step - pos
 
     root = results.pop()[2]
     # every call is a hit or makes exactly two more calls and one combine

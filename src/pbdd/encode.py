@@ -116,13 +116,18 @@ def decompose(c: PBConstraint) -> Decomposition:
     )
 
 
-def _node_vars(store: NodeStore, root: int, out: ClauseSet):
-    """Reachable nodes in post-order, their auxiliary variables, TRUE and FALSE helper ids."""
-    nodes = reachable_nodes(store, root)
+def _node_vars(store: NodeStore, root: int, out: ClauseSet, order: range | None):
+    """Nodes in lo-first post-order, their auxiliary variables, TRUE and FALSE helper ids.
+
+    Given `order`, node n's variable is n plus a constant, listed by id.
+    """
+    nodes = reachable_nodes(store, root) if order is None else order
     first = out.next_var
     top = first + len(nodes)
     out.next_var = top + 2
-    return nodes, dict(zip(nodes, range(first, top))), top, top + 1
+    var_of = (dict(zip(nodes, range(first, top))) if order is None
+              else list(range(first - order.start, top)))
+    return nodes, var_of, top, top + 1
 
 
 def _check_input_literals(lits, num_inputs: int, what: str) -> None:
@@ -140,6 +145,7 @@ def encode_monotone(
     out: ClauseSet,
     implied_lit: int | None = None,
     offset: int = 0,
+    order: range | None = None,
 ) -> int | None:
     """Two clauses per node for a diagram of a monotone decreasing function.
 
@@ -150,6 +156,11 @@ def encode_monotone(
     `selector_lits[L - 1 - offset]`, `offset` being the build's
     (`BuildResult.offset`).  Returns the root's auxiliary variable, None
     for a terminal root.
+
+    Auxiliary variables follow the reachable nodes in lo-first post-order.
+    `run_pipeline` passes them as `order=range(2, root + 1)` for its bdd1
+    and bdd2 builds into fresh stores; without `order`, as for bdd3's
+    shared store or a hand-built one, `reachable_nodes` finds them.
 
     Preconditions: the diagram is reduced (any `NodeStore` diagram is) and
     monotone, and a variable may label several levels but always with the
@@ -172,7 +183,7 @@ def encode_monotone(
     _check_input_literals(selector_lits, out.num_inputs, "selector literal")
     if implied_lit is not None:
         _check_input_literals((implied_lit,), out.num_inputs, "implied_lit")
-    nodes, var_of, _, _ = _node_vars(store, root, out)
+    nodes, var_of, _, _ = _node_vars(store, root, out, order)
     out.raw_count += 2 * len(nodes) + 3
     append = out.clauses.append
     if root < 2:
@@ -220,7 +231,8 @@ def encode_monotone(
     return var_of[root]
 
 
-def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
+def encode_ite6(store, root, selector_lits, out: ClauseSet, offset: int = 0,
+                order: range | None = None) -> int | None:
     """Classic six-clause if-then-else translation, root asserted true.
 
     Works for arbitrary (not necessarily monotone) diagrams; emits
@@ -230,9 +242,12 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
     order, or one empty clause on a conflict.  When each variable labels
     one level, as in every pipeline, the trail order is that of a rescan
     to fixpoint; a variable on several levels may reorder the units.
+    `offset` and `order` are as in `encode_monotone`, and the selector
+    literals must name input variables (ValueError).
     """
     from .propagate import CONFLICT, UnitPropagator
-    nodes, var_of, top, bot = _node_vars(store, root, out)
+    _check_input_literals(selector_lits, out.num_inputs, "selector literal")
+    nodes, var_of, top, bot = _node_vars(store, root, out, order)
     # Propagate over dense local ids, so the engine's per-variable lists
     # grow with the diagram rather than with `out.num_inputs`: 1..m are
     # the nodes' variables, m+1 and m+2 the helpers, then the selectors'
@@ -246,7 +261,7 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
     raw: list[list[int]] = []
     for nid in nodes:
         level, lo, hi = store.node(nid)
-        sel = selector_lits[level - 1]
+        sel = selector_lits[level - 1 - offset]
         x = sel_of.get(abs(sel))
         if x is None:
             x = sel_of[abs(sel)] = len(glob)
@@ -269,7 +284,7 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
     status, values, trail, _, _ = engine.run(())
     if status == CONFLICT:
         out.add(())
-        return var_of.get(root)
+        return var_of[root] if root >= 2 else None
     for lit in trail:
         if abs(lit) != m + 1 and abs(lit) != m + 2:
             out.add((glob[lit] if lit > 0 else -glob[-lit],))
@@ -283,7 +298,7 @@ def encode_ite6(store, root, selector_lits, out: ClauseSet) -> int | None:
                 break
         else:
             out.add(tuple(pending))
-    return var_of.get(root)
+    return var_of[root] if root >= 2 else None
 
 
 def _trivial(c: PBConstraint, out: ClauseSet) -> bool:
@@ -316,21 +331,21 @@ def run_pipeline(
     if _trivial(c, out):
         return out, builds
 
-    if method == "bdd1":
-        r = build(c, node_budget=node_budget)
+    if method != "bdd3":
+        # in a fresh store the build made every node it reaches, in post-order
+        d = decompose(c) if method == "bdd2" else None
+        r = build(c if d is None else d.decomposed, node_budget=node_budget)
         builds.append(r)
-        encode_monotone(r.store, r.root, r.level_lits, out)
-    elif method == "ite6":
-        r = build(c, node_budget=node_budget)
-        builds.append(r)
-        encode_ite6(r.store, r.root, r.level_lits, out)
-    elif method == "bdd2":
-        d = decompose(c)
-        r = build(d.decomposed, node_budget=node_budget)
-        builds.append(r)
-        # substituting original literals for the bit variables happens in
-        # the selector map; the diagram itself is left untouched
-        encode_monotone(r.store, r.root, d.bit_literals, out)
+        if not r.stats.created == len(r.store) == r.root - 1:
+            raise ValueError(f"the build of {c} left nodes its root does not reach")
+        order = range(2, r.root + 1)
+        if method == "ite6":
+            encode_ite6(r.store, r.root, r.level_lits, out, order=order)
+        else:
+            # bdd2 substitutes original literals for the bit variables in
+            # the selector map; the diagram itself is left untouched
+            encode_monotone(r.store, r.root, r.level_lits if d is None else d.bit_literals,
+                            out, order=order)
     else:  # bdd3
         # one store for the per-literal builds, framed by the bit count of
         # c's own decomposition, which bounds each of theirs; the node

@@ -99,6 +99,9 @@ def reachable_nodes(store: NodeStore, root: int) -> list[int]:
     build would have created the diagram in.  One traversal, O(reachable
     nodes) steps; the marks are sized by the root id, which bounds every
     reachable id because a child's id lies below its parent's.
+    `run_pipeline` skips it for its fresh bdd1, bdd2 and ite6 builds;
+    bdd3's shared store, hand-built stores and the inspection helpers
+    (`node_count`, `intervals`, `level_widths`, `to_dot`) still traverse.
     """
     if root < 2:
         return []

@@ -336,8 +336,11 @@ def reference_emit(store, root, selector_lits, out, per_node, implied_lit, offse
 
 
 def reference_encode_monotone(store, root, selector_lits, out,
-                              implied_lit=None, offset=0):
-    """`encode_monotone` by raw emission and the fixpoint simplifier."""
+                              implied_lit=None, offset=0, order=None):
+    """`encode_monotone` by raw emission and the fixpoint simplifier.
+
+    `order` is accepted and ignored: the reference always traverses.
+    """
 
     def per_node(nvar, x, lo_lit, hi_lit):
         return [[lo_lit, -nvar], [hi_lit, -x, -nvar]]
@@ -346,8 +349,8 @@ def reference_encode_monotone(store, root, selector_lits, out,
                           offset)
 
 
-def reference_encode_ite6(store, root, selector_lits, out):
-    """`encode_ite6` by raw emission and the fixpoint simplifier."""
+def reference_encode_ite6(store, root, selector_lits, out, offset=0, order=None):
+    """`encode_ite6` by raw emission and the fixpoint simplifier; `order` is ignored."""
 
     def per_node(nvar, x, f, t):
         return [
@@ -359,7 +362,7 @@ def reference_encode_ite6(store, root, selector_lits, out):
             [-f, -t, nvar],
         ]
 
-    return reference_emit(store, root, selector_lits, out, per_node, None)
+    return reference_emit(store, root, selector_lits, out, per_node, None, offset)
 
 
 def cnf_model_set_matches(c: PBConstraint, clauses, engine=None) -> bool:

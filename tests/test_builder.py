@@ -64,6 +64,9 @@ def test_insert_overlap_asserts():
         ls.insert(Interval(0, 4), 8)
     with pytest.raises(ValueError):
         ls.insert(Interval(6, 5), 8)  # empty, in a free stretch
+    for below_zero in (Interval(-5, -3), Interval(-1, 2)):  # the FALSE entry's stretch
+        with pytest.raises(ValueError):
+            ls.insert(below_zero, 8)
 
 
 def test_build_running_example_trace():
@@ -328,7 +331,7 @@ def test_build_exact_beyond_float_range():
 
 def test_level_store_terminals_are_implicit():
     ls = build(RUN).level_stores[1]
-    assert len(ls) == len(ls.nodes) + 2 == len(ls.entries())
+    assert len(ls) == len(ls.triples) == len(ls.entries()) == 4
     assert ls.entries()[0] == (Interval(None, -1), FALSE_NODE)
     assert ls.entries()[-1] == (Interval(8, None), TRUE_NODE)
     with pytest.raises(ValueError):

@@ -154,7 +154,7 @@ def test_raw_constraint_is_mutable_and_counterexample_is_not():
 def test_build_result_intervals_are_computed_once():
     r = build(C)
     first = r.intervals
-    r.level_stores[0].lows.clear()  # computing it again would now raise KeyError
+    r.level_stores[0].triples.clear()  # computing it again would now raise KeyError
     assert r.intervals is first and len(first) == r.node_count
 
 
