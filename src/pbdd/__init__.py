@@ -7,8 +7,7 @@ command imports only the modules it runs.
 from importlib import import_module
 
 _EXPORTS = {
-    "constraints": ("PBConstraint", "RawConstraint", "Term", "evaluate", "literal_value",
-                    "normalize"),
+    "constraints": ("PBConstraint", "RawConstraint", "Term", "evaluate", "normalize"),
     "robdd": ("FALSE_NODE", "TRUE_NODE", "NodeStore", "eval_bdd", "reachable_nodes", "to_dot"),
     "intervals": ("Interval", "combine_child_intervals", "terminal_interval",
                   "verify_intervals"),

@@ -51,8 +51,8 @@ class LevelStore:
     from the terminal (None, -1, FALSE) to (top, None, TRUE), `top` being
     the level's suffix sum; `len` counts them.  `lows` holds the lower
     bounds for bisection, with -1 standing in for the FALSE pair's None.
-    Disjointness makes lower-bound bisection sufficient for lookups; it is
-    checked on every insert (ValueError).
+    Disjointness makes lower-bound bisection sufficient for lookups;
+    `build`, the only writer, checks it at each insert (ValueError).
     """
 
     __slots__ = ("level", "top", "lows", "triples")
@@ -78,23 +78,6 @@ class LevelStore:
             return Interval(self.top, None), TRUE_NODE
         lo, hi, node = self.triples[bisect_right(self.lows, k) - 1]
         return (Interval(lo, hi), node) if k <= hi else None
-
-    def insert(self, iv: Interval, node: int) -> None:
-        """Store `iv` -> `node`; ValueError if `iv` is empty, infinite or overlaps.
-
-        `build` runs the same checks inline, at the position its lookup
-        bisected, so a miss bisects once.
-        """
-        lo, hi = iv
-        if lo is None or hi is None:
-            raise ValueError(f"interval {iv} overlaps a terminal entry")
-        if lo > hi:
-            raise ValueError("refusing to insert an empty interval")
-        idx = bisect_right(self.lows, lo)
-        if not idx or self.triples[idx - 1][1] >= lo or hi >= self.lows[idx]:
-            raise ValueError(f"interval [{lo}, {hi}] overlaps a stored entry at level {self.level}")
-        self.lows.insert(idx, lo)
-        self.triples.insert(idx, (lo, hi, node))
 
 
 class BuildStats(Record):

@@ -181,13 +181,6 @@ def normalize(raw: RawConstraint) -> list[PBConstraint]:
     return [_normalize_le(flipped, -bound - (op == ">"))]
 
 
-def literal_value(lit: int, assignment: Mapping[int, int]) -> int:
-    """Value of a signed literal under a variable assignment (KeyError if absent)."""
-    v = assignment[abs(lit)]
-    v = 1 if v else 0
-    return v if lit > 0 else 1 - v
-
-
 def evaluate(c: PBConstraint, assignment: Mapping[int, int]) -> int:
     """1 iff the weighted sum of literal values is within the bound.
 
@@ -196,5 +189,6 @@ def evaluate(c: PBConstraint, assignment: Mapping[int, int]) -> int:
     """
     total = 0
     for coef, lit in c.terms:
-        total += coef * literal_value(lit, assignment)
+        if bool(assignment[abs(lit)]) == (lit > 0):  # the literal is true
+            total += coef
     return int(total <= c.bound)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .constraints import PBConstraint, RawConstraint, Record
+from .constraints import COMPARATORS, PBConstraint, RawConstraint, Record
 
-_OPS = ("<=", ">=", "=", "<", ">")
 _VAR_RE = re.compile(r"x\d+$")
 _COEF_RE = re.compile(r"[+-]?\d+$")
 
@@ -72,17 +71,21 @@ def parse_opb(text: str) -> Instance:
             )
         tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw_line)]
         # the trailing ';' may be its own token or glued to the bound
-        if tokens[-1][0] == ";":
-            tokens = tokens[:-1]
-        elif tokens[-1][0].endswith(";"):
-            tok, col = tokens[-1]
-            tokens[-1] = (tok[:-1], col)
+        tok, col = tokens[-1]
+        if not tok.endswith(";"):
+            raise OpbParseError("constraint must end with ';'", lineno, col)
+        semi = raw_line.find(";")
+        if semi < col + len(tok) - 2:  # the final ';' is at index col + len(tok) - 2
+            raise OpbParseError("';' before the end of the line (one constraint per line)",
+                                lineno, semi + 1)
+        if tok == ";":
+            tokens.pop()
         else:
-            raise OpbParseError("constraint must end with ';'", lineno, tokens[-1][1])
+            tokens[-1] = (tok[:-1], col)
         if len(tokens) < 2:
             raise OpbParseError("truncated constraint", lineno, 1)
         op_tok, op_col = tokens[-2]
-        if op_tok not in _OPS:
+        if op_tok not in COMPARATORS:
             raise OpbParseError(f"expected comparison operator, got {op_tok!r}",
                                 lineno, op_col)
         bound_tok, bound_col = tokens[-1]

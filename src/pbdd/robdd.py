@@ -36,8 +36,13 @@ class NodeStore:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def check_children(self, level: int, lo: int, hi: int) -> None:
-        """ValueError unless both children exist and lie below `level`."""
+    def mk_node(self, level: int, lo: int, hi: int) -> int:
+        """Canonical node for `(level, lo, hi)`; returns the child when lo == hi.
+
+        ValueError unless both children exist and lie below `level`.
+        """
+        if lo == hi:
+            return lo
         nodes = self._nodes
         for child in (lo, hi):
             if not 0 <= child < len(nodes) + 2:
@@ -47,17 +52,11 @@ class NodeStore:
                     f"orderedness violation: child {child} at level "
                     f"{nodes[child - 2][0]} under level {level}"
                 )
-
-    def mk_node(self, level: int, lo: int, hi: int) -> int:
-        """Canonical node for `(level, lo, hi)`; returns the child when lo == hi."""
-        if lo == hi:
-            return lo
-        self.check_children(level, lo, hi)
         key = (level, lo, hi)
         nid = self._unique.get(key)
         if nid is None:
-            self._nodes.append(key)
-            nid = len(self._nodes) + 1
+            nodes.append(key)
+            nid = len(nodes) + 1
             self._unique[key] = nid
         return nid
 
@@ -126,15 +125,14 @@ def reachable_nodes(store: NodeStore, root: int) -> list[int]:
     return found
 
 
-def to_dot(store: NodeStore, root: int, level_labels: Sequence[str] | None = None) -> str:
+def to_dot(store: NodeStore, root: int) -> str:
     """DOT graph of the diagram under `root`, for eyeballing in a viewer."""
     lines = ["digraph bdd {"]
     lines.append('  n0 [shape=box,label="0"];')
     lines.append('  n1 [shape=box,label="1"];')
     for nid in reachable_nodes(store, root):
         level, lo, hi = store.node(nid)
-        label = level_labels[level - 1] if level_labels else f"L{level}"
-        lines.append(f'  n{nid} [label="{label}"];')
+        lines.append(f'  n{nid} [label="L{level}"];')
         lines.append(f"  n{nid} -> n{lo} [style=dashed];")
         lines.append(f"  n{nid} -> n{hi};")
     lines.append("}")

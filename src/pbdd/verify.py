@@ -64,7 +64,7 @@ from .builder import BuildResult, build, level_widths
 from .constraints import PBConstraint
 from .encode import Decomposition
 from .propagate import UnitPropagator
-from .robdd import NodeStore
+from .robdd import NodeStore, reachable_nodes
 
 DEFAULT_ENUM_LIMIT = 8  # 3^8 = 6561 partial assignments per clause set
 
@@ -82,18 +82,6 @@ class Counterexample(NamedTuple):
         return f"A={{{', '.join(sorted(lits))}}}{where}: {self.detail}"
 
 
-def _true_weight(c: PBConstraint, assignment: Mapping[int, bool]) -> int:
-    """Sum of coefficients whose literal is true under the (partial) assignment."""
-    total = 0
-    for coef, lit in c.terms:
-        val = assignment.get(abs(lit))
-        if val is None:
-            continue
-        if val == (lit > 0):
-            total += coef
-    return total
-
-
 def extendable(c: PBConstraint, assignment: Mapping[int, bool]) -> bool:
     """Can `assignment` be extended to a total assignment satisfying `c`?
 
@@ -101,7 +89,12 @@ def extendable(c: PBConstraint, assignment: Mapping[int, bool]) -> bool:
     normalized constraint, so the answer is whether the true weight of the
     assignment is within the bound.
     """
-    return _true_weight(c, assignment) <= c.bound
+    total = 0
+    for coef, lit in c.terms:
+        val = assignment.get(abs(lit))
+        if val is not None and val == (lit > 0):
+            total += coef
+    return total <= c.bound
 
 
 _SPURIOUS = "spurious conflict on extendable assignment"
@@ -304,19 +297,21 @@ def check_gac(
 def check_equivalent(c1: PBConstraint, c2: PBConstraint) -> bool:
     """Do two constraints represent the same Boolean function?
 
-    Builds both diagrams in one shared store with the same level/literal
-    layout; canonicity makes function equality the same as root equality.
-    Requires identical literal sequences (same variables, order and
-    polarities), otherwise the structural comparison would be meaningless.
+    Builds both diagrams in one shared store with the same level layout;
+    canonicity makes function equality the same as root equality.  The
+    variables must match in order (ValueError); polarities may differ.  A
+    normalized constraint is decreasing in each literal, so no function
+    that depends on x is decreasing in both x and ~x: where a level's sign
+    differs, equal functions have no reachable node on it.
     """
-    if c1.literals() != c2.literals():
-        raise ValueError(
-            f"literal sequences differ: {c1.literals()} vs {c2.literals()}"
-        )
+    if c1.variables() != c2.variables():
+        raise ValueError(f"variable sequences differ: {c1.variables()} vs {c2.variables()}")
     store = NodeStore()
-    r1 = build(c1, store=store)
-    r2 = build(c2, store=store)
-    return r1.root == r2.root
+    root = build(c1, store=store).root
+    if build(c2, store=store).root != root:
+        return False
+    flipped = {i for i, (l1, l2) in enumerate(zip(c1.literals(), c2.literals()), 1) if l1 != l2}
+    return all(store.node(nid)[0] not in flipped for nid in reachable_nodes(store, root))
 
 
 def subset_sum_reachable(coefficients, k: int) -> bool:
@@ -331,15 +326,14 @@ def subset_sum_reachable(coefficients, k: int) -> bool:
 
 
 def subset_sum_unsat(coefficients, k: int) -> bool:
-    """Diagram-equality certificate that no subset sums to exactly `k`.
+    """Diagram certificate that no subset of `coefficients` sums to exactly `k`.
 
-    The sum k is unreachable iff `sum <= k` and `sum <= k-1` are the same
-    Boolean function, i.e. iff their canonical diagrams coincide.
+    The sum k is unreachable iff `sum <= k-1` has the same diagram as
+    `sum <= k`, that is iff k-1 lies in the root interval of the build of
+    `sum <= k`.
     """
-    pairs = [(a, i) for i, a in enumerate(coefficients, 1)]
-    le_k = PBConstraint.from_pairs(pairs, k)
-    le_k1 = PBConstraint.from_pairs(pairs, k - 1)
-    return check_equivalent(le_k, le_k1)
+    c = PBConstraint.from_pairs([(a, i) for i, a in enumerate(coefficients, 1)], k)
+    return build(c).root_interval.contains(k - 1)
 
 
 def check_level_width(

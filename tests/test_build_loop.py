@@ -65,7 +65,8 @@ def run_optimized(code: str) -> list[str]:
 
 def test_build_loop_guards_survive_optimize_flag():
     code = (
-        "from pbdd import Interval, LevelStore, NodeStore, PBConstraint, build\n"
+        "from bisect import bisect_right\n"
+        "from pbdd import LevelStore, NodeStore, PBConstraint, build\n"
         "from pbdd.builder import NodeBudgetExceeded\n"
         "pairs = [(2, 1), (3, 2), (5, 3)]\n"
         "c = PBConstraint.from_pairs(pairs, 6)\n"
@@ -78,8 +79,10 @@ def test_build_loop_guards_survive_optimize_flag():
         # an interned level-1 entry that the bound 6 misses but whose
         # interval overlaps the [5, 6] the build inserts
         "store = NodeStore(depth=3)\n"
-        "build(PBConstraint.from_pairs(pairs, 0), store=store).level_stores[0]"
-        ".insert(Interval(3, 5), 3)\n"
+        "ls = build(PBConstraint.from_pairs(pairs, 0), store=store).level_stores[0]\n"
+        "at = bisect_right(ls.lows, 3)\n"
+        "ls.lows.insert(at, 3)\n"
+        "ls.triples.insert(at, (3, 5, 3))\n"
         "attempt('overlap', store)\n"
         # a level store whose top is not the sum of its suffix
         "for top in (3, 4, 6, 7, 100):\n"

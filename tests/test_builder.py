@@ -48,25 +48,12 @@ def test_search_initialized_store():
 
 def test_insert_then_search_boundaries():
     ls = fresh_store(1, 10)
-    ls.insert(Interval(0, 4), 7)
+    ls.lows.insert(1, 0)  # planted as `build` stores an entry
+    ls.triples.insert(1, (0, 4, 7))
     assert ls.search(3) == (Interval(0, 4), 7)
     assert ls.search(0) == (Interval(0, 4), 7)
     assert ls.search(4) == (Interval(0, 4), 7)
     assert ls.search(5) is None
-
-
-def test_insert_overlap_asserts():
-    ls = fresh_store(1, 10)
-    ls.insert(Interval(0, 4), 7)
-    with pytest.raises(ValueError):
-        ls.insert(Interval(3, 6), 8)
-    with pytest.raises(ValueError):
-        ls.insert(Interval(0, 4), 8)
-    with pytest.raises(ValueError):
-        ls.insert(Interval(6, 5), 8)  # empty, in a free stretch
-    for below_zero in (Interval(-5, -3), Interval(-1, 2)):  # the FALSE entry's stretch
-        with pytest.raises(ValueError):
-            ls.insert(below_zero, 8)
 
 
 def test_build_running_example_trace():
@@ -334,11 +321,3 @@ def test_level_store_terminals_are_implicit():
     assert len(ls) == len(ls.triples) == len(ls.entries()) == 4
     assert ls.entries()[0] == (Interval(None, -1), FALSE_NODE)
     assert ls.entries()[-1] == (Interval(8, None), TRUE_NODE)
-    with pytest.raises(ValueError):
-        ls.insert(Interval(None, 2), 9)
-    with pytest.raises(ValueError):
-        ls.insert(Interval(7, None), 9)
-    with pytest.raises(ValueError):
-        ls.insert(Interval(7, 8), 9)  # reaches the TRUE entry
-    with pytest.raises(ValueError):
-        ls.insert(Interval(4, 3), 9)

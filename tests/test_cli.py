@@ -740,6 +740,45 @@ def test_equiv_rejects_equality_and_mismatch(tmp_path, capsys):
     assert main(["equiv", str(other), str(renamed)]) == 3
 
 
+@pytest.mark.parametrize("first, second, verdict", [
+    ("+3 ~x3 > 3 ;", "-2 x3 < 0 ;", "different"),
+    ("+1 x1 +1 x2 <= 5 ;", "-1 x1 +1 x2 <= 5 ;", "equivalent"),  # both always true
+    ("+1 x1 +3 x2 <= 2 ;", "+1 ~x1 +3 x2 <= 2 ;", "equivalent"),  # x1 is irrelevant
+])
+def test_equiv_with_differing_signs(tmp_path, capsys, first, second, verdict):
+    a, b = tmp_path / "a.opb", tmp_path / "b.opb"
+    a.write_text(first + "\n")
+    b.write_text(second + "\n")
+    assert main(["equiv", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.strip() == verdict
+
+
+def random_row(rng) -> str:
+    # signed coefficients over x1..x3 in order, some negated, any comparator
+    names = [f"x{v}" for v in range(1, 4) if rng.random() < 0.7] or ["x1"]
+    terms = [f"{rng.randint(-4, 4):+d} {'~' if rng.random() < 0.4 else ''}{nm}" for nm in names]
+    op = rng.choice(("<=", ">=", "=", "<", ">"))
+    return f"{' '.join(terms)} {op} {rng.randint(-4, 4)} ;\n"
+
+
+def test_no_command_ends_in_a_traceback_on_random_rows(tmp_path, capsys):
+    import random
+    rng = random.Random(25)
+    one, other, two = tmp_path / "one.opb", tmp_path / "other.opb", tmp_path / "two.opb"
+    out = str(tmp_path / "out.cnf")
+    for _ in range(80):
+        one.write_text(random_row(rng))
+        other.write_text(random_row(rng))
+        two.write_text(random_row(rng) + random_row(rng))
+        calls = [["equiv", str(one), str(other)]]
+        for path in (str(one), str(two)):
+            calls += [["encode", "--method", m, "--in", path, "--out", out] for m in PIPELINES]
+            calls.append(["stats", "--method", rng.choice(PIPELINES), "--in", path])
+        for args in calls:
+            assert main(args) in range(5), args
+    capsys.readouterr()
+
+
 def test_exit_codes(tmp_path):
     code, _, err = run_cli(["encode", "--method", "bdd1", "--in", "/no/such.opb"])
     assert code == 3

@@ -65,6 +65,20 @@ def test_parse_errors_carry_position():
         parse_opb("+1_0 x1 <= 6 ;\n")
 
 
+@pytest.mark.parametrize("line, col", [
+    ("+1 x1 <= 1; +1 x2 <= 0 ;", 11),
+    ("+1 x1 <= 1 ; +1 x2 <= 0 ;", 12),
+    ("+1 x1 <= 1 ;;", 12),
+    ("+1 x1 +1 x2; <= 1 ;", 12),
+])
+def test_parse_rejects_a_semicolon_before_the_end_of_the_line(line, col):
+    with pytest.raises(OpbParseError, match="one constraint per line") as err:
+        parse_opb(f"* two rows\n{line}\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    with pytest.raises(OpbParseError, match="must end with ';'"):
+        parse_opb(line.rstrip(";") + " +1 x3\n")  # no final ';': the error it had
+
+
 def test_parse_ids_dense_in_first_appearance_order():
     inst = parse_opb("+1 x9 +1 x2 >= 1 ;\n+1 x2 +1 x5 <= 1 ;\n")
     assert inst.names == ["x9", "x2", "x5"]

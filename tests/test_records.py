@@ -173,3 +173,11 @@ def test_no_module_imports_dataclasses():
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_no_module_holds_an_assert_statement():
+    # `python -O` strips asserts, so no check that protects the output may be one
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

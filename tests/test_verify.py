@@ -121,19 +121,23 @@ def test_check_equivalent_examples():
 
 def test_check_equivalent_matches_truth_tables():
     rng = random.Random(3)
-    for _ in range(120):
+    for _ in range(300):
         n = rng.randint(1, 6)
-        pairs = [(rng.randint(1, 9), v) for v in range(1, n + 1)]
-        c1 = PBConstraint.from_pairs(pairs, rng.randint(0, 20))
-        c2 = PBConstraint.from_pairs(pairs, rng.randint(0, 20))
-        assert check_equivalent(c1, c2) == truth_table_equal(c1, c2)
+        coefs = [rng.randint(1, 9) for _ in range(n)]
+        c1, c2 = (PBConstraint.from_pairs([(a, rng.choice((1, -1)) * v)
+                                           for v, a in enumerate(coefs, 1)], rng.randint(0, 20))
+                  for _ in range(2))
+        assert check_equivalent(c1, c2) == truth_table_equal(c1, c2), (str(c1), str(c2))
 
 
 def test_check_equivalent_rejects_mismatched_literals():
     with pytest.raises(ValueError):
         check_equivalent(RUN, PBConstraint.from_pairs([(2, 1), (3, 2)], 6))
-    with pytest.raises(ValueError):
-        check_equivalent(RUN, PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], 6))
+    # only a sign differs: the verdict is the truth tables'
+    flipped = PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], 6)
+    assert check_equivalent(RUN, flipped) is truth_table_equal(RUN, flipped) is False
+    always = PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], 10)
+    assert check_equivalent(always, PBConstraint.from_pairs(RUN.terms, 10)) is True
 
 
 def test_subset_sum_oracle_and_certificate_agree():
@@ -143,6 +147,16 @@ def test_subset_sum_oracle_and_certificate_agree():
         coefs = [rng.randint(1, 10**4) for _ in range(n)]
         k = rng.randint(0, sum(coefs))
         assert subset_sum_unsat(coefs, k) == (not subset_sum_reachable(coefs, k)), \
+            (coefs, k)
+    # small instances with k < 0 and k > sum, also against two builds in one
+    # store: `sum <= k` and `sum <= k-1` have equal roots iff k is unreachable
+    for _ in range(600):
+        coefs = [rng.randint(1, 12) for _ in range(rng.randint(0, 9))]
+        k = rng.randint(-3, sum(coefs) + 3)
+        pairs = [(a, i) for i, a in enumerate(coefs, 1)]
+        two_builds = check_equivalent(PBConstraint.from_pairs(pairs, k),
+                                      PBConstraint.from_pairs(pairs, k - 1))
+        assert subset_sum_unsat(coefs, k) == two_builds == (not subset_sum_reachable(coefs, k)), \
             (coefs, k)
 
 
