@@ -164,8 +164,8 @@ def build(
     `store` across builds makes equal functions come out as equal roots;
     a store with a frame depth also shares its level stores (module
     docstring), and the result's `offset` maps its store levels back to
-    build levels.  Raises NodeBudgetExceeded when more than `node_budget`
-    fresh nodes would be created.
+    build levels.  Raises NodeBudgetExceeded when the store would hold more
+    than `node_budget` decision nodes (for a fresh store, nodes created).
     """
     terms = c.terms
     if order is not None:
@@ -217,7 +217,7 @@ def build(
     table = store._nodes
     unique = store._unique
     before = len(table)
-    last = None if node_budget is None else before + 1 + node_budget  # highest id allowed
+    last = None if node_budget is None else 1 + node_budget  # highest id allowed
     merges = made = 0
 
     # Explicit stack instead of recursion: coefficient decomposition can

@@ -451,13 +451,9 @@ def cmd_equiv(args) -> int:
             return EXIT_PARSE
         sides.append((inst, constraints[0]))
     (inst1, c1), (inst2, c2) = sides
-    names1 = [inst1.names[v - 1] for v in c1.variables()]
-    names2 = [inst2.names[v - 1] for v in c2.variables()]
-    if names1 != names2:
-        print(f"variable mismatch: {names1} vs {names2}", file=sys.stderr)
-        return EXIT_PARSE
-    # align the second constraint's ids with the first by name
-    remap = {inst2.name_to_id[nm]: inst1.name_to_id[nm] for nm in names2}
+    # the second file's names take the first's ids, new names the ids after them
+    ids = inst1.name_to_id
+    remap = {v: ids.setdefault(nm, len(ids) + 1) for v, nm in enumerate(inst2.names, 1)}
     c2 = PBConstraint.from_pairs(
         [(t.coef, remap[t.var] * (1 if t.lit > 0 else -1)) for t in c2.terms], c2.bound)
     print("equivalent" if check_equivalent(c1, c2) else "different")

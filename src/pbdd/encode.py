@@ -9,7 +9,8 @@ ternary clause) and differ in what diagram they encode:
          arc-consistent);
   bdd3 - one decomposed encoding per input literal fixed true, its root
          implied by that literal through a binary clause (arc-consistent);
-         the per-literal builds share one node store per constraint.
+         the per-literal builds are cut from one decomposition of the
+         constraint and share one node store.
 
 `encode_monotone` serves all three.  For a reduced monotone diagram it
 knows the unit-simplified result of its raw clauses without propagating:
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .builder import BuildResult, NodeBudgetExceeded, build
+from .builder import BuildResult, build
 from .constraints import PBConstraint, Record, Term
 from .robdd import FALSE_NODE, NodeStore, TRUE_NODE, reachable_nodes
 
@@ -320,8 +321,9 @@ def run_pipeline(
 ) -> tuple[ClauseSet, list[BuildResult]]:
     """Encode `c` with one of the named pipelines; also returns the builds used.
 
-    `node_budget` caps the fresh nodes per constraint: the one build of
-    bdd1, bdd2 and ite6, or all of bdd3's per-literal builds together.
+    `node_budget` caps the decision nodes of the constraint's one store:
+    the one build of bdd1, bdd2 and ite6, or all of bdd3's per-literal
+    builds together, each cut from one decomposition of `c`.
     """
     if method not in PIPELINES:
         raise ValueError(f"unknown pipeline {method!r}")
@@ -347,28 +349,21 @@ def run_pipeline(
             encode_monotone(r.store, r.root, r.level_lits if d is None else d.bit_literals,
                             out, order=order)
     else:  # bdd3
-        # one store for the per-literal builds, framed by the bit count of
-        # c's own decomposition, which bounds each of theirs; the node
-        # budget counts for the constraint, not per build
-        store = NodeStore(depth=sum(t.coef.bit_count() for t in c.terms))
-        for idx, t in enumerate(c.terms):
-            rest = c.terms[:idx] + c.terms[idx + 1 :]
-            # trivially true only if c is, which `_trivial` has returned on
-            ci = PBConstraint(rest, c.bound - t.coef)
-            if ci.trivially_false:
+        # literal i's decomposition is c's without term i's bits, renumbered:
+        # `decompose` orders bits by (power, position), which that keeps
+        d = decompose(c)
+        store = NodeStore(depth=len(d.bit_tags))
+        for pos, t in enumerate(c.terms, 1):
+            if c.bound < t.coef:  # never trivially true, as c is not
                 out.add((-t.lit,))
                 continue
-            d = decompose(ci)
-            left = None if node_budget is None else node_budget - len(store)
-            try:
-                r = build(d.decomposed, store=store, node_budget=left)
-            except NodeBudgetExceeded:
-                raise NodeBudgetExceeded(
-                    f"constraint exceeded node budget of {node_budget}") from None
+            keep = [(1 << w, lit) for (w, p), lit in zip(d.bit_tags, d.bit_literals) if p != pos]
+            ci = PBConstraint.from_pairs(((a, v) for v, (a, _) in enumerate(keep, 1)),
+                                         c.bound - t.coef)
+            r = build(ci, store=store, node_budget=node_budget)
             builds.append(r)
-            encode_monotone(
-                r.store, r.root, d.bit_literals, out, implied_lit=t.lit, offset=r.offset,
-            )
+            encode_monotone(r.store, r.root, [lit for _, lit in keep], out,
+                            implied_lit=t.lit, offset=r.offset)
     return out, builds
 
 

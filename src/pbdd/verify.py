@@ -64,7 +64,7 @@ from .builder import BuildResult, build, level_widths
 from .constraints import PBConstraint
 from .encode import Decomposition
 from .propagate import UnitPropagator
-from .robdd import NodeStore, reachable_nodes
+from .robdd import NodeStore
 
 DEFAULT_ENUM_LIMIT = 8  # 3^8 = 6561 partial assignments per clause set
 
@@ -297,21 +297,23 @@ def check_gac(
 def check_equivalent(c1: PBConstraint, c2: PBConstraint) -> bool:
     """Do two constraints represent the same Boolean function?
 
-    Builds both diagrams in one shared store with the same level layout;
-    canonicity makes function equality the same as root equality.  The
-    variables must match in order (ValueError); polarities may differ.  A
-    normalized constraint is decreasing in each literal, so no function
-    that depends on x is decreasing in both x and ~x: where a level's sign
-    differs, equal functions have no reachable node on it.
+    Each row is cut to its support, the terms whose build level holds a
+    node; a function does not depend on the others, so they may be false.
+    A normalized row is decreasing in each literal, and no function that
+    depends on x is decreasing in both x and ~x, so equal functions have
+    supports of the same signed literals.  Those are built in one store,
+    the second under the first's order; canonicity makes function equality
+    the same as root equality.
     """
-    if c1.variables() != c2.variables():
-        raise ValueError(f"variable sequences differ: {c1.variables()} vs {c2.variables()}")
-    store = NodeStore()
-    root = build(c1, store=store).root
-    if build(c2, store=store).root != root:
+    def support(c):
+        widths = level_widths(build(c))
+        return PBConstraint(tuple(t for t, w in zip(c.terms, widths) if w), c.bound)
+
+    c1, c2 = support(c1), support(c2)
+    if set(c1.literals()) != set(c2.literals()):
         return False
-    flipped = {i for i, (l1, l2) in enumerate(zip(c1.literals(), c2.literals()), 1) if l1 != l2}
-    return all(store.node(nid)[0] not in flipped for nid in reachable_nodes(store, root))
+    store = NodeStore()
+    return build(c1, store=store).root == build(c2, c1.variables(), store=store).root
 
 
 def subset_sum_reachable(coefficients, k: int) -> bool:

@@ -105,6 +105,32 @@ def test_build_loop_guards_survive_optimize_flag():
                                    "budget below created NodeBudgetExceeded"]
 
 
+def test_store_budget_survives_optimize_flag():
+    # a second build into the store passes a budget of the store's nodes
+    # exactly where the nodes already there and its own pass it
+    code = (
+        "from pbdd import NodeStore, PBConstraint, build\n"
+        "from pbdd.builder import NodeBudgetExceeded\n"
+        "first = PBConstraint.from_pairs([(2, 1), (3, 2), (5, 3)], 6)\n"
+        "second = PBConstraint.from_pairs([(1, 1), (1, 2), (1, 3)], 1)\n"
+        "def filled():\n"
+        "    store = NodeStore(depth=3)\n"
+        "    build(first, store=store)\n"
+        "    return store\n"
+        "k = len(filled())\n"
+        "created = build(second, store=filled()).stats.created\n"
+        "print(k, created)\n"
+        "for budget in (created, k + created - 1, k + created):\n"
+        "    try:\n"
+        "        build(second, store=filled(), node_budget=budget)\n"
+        "        print(budget - k - created, 'returned')\n"
+        "    except NodeBudgetExceeded as exc:\n"
+        "        print(budget - k - created, exc)\n"
+    )
+    assert run_optimized(code) == ["3 2", "-3 build exceeded node budget of 2",
+                                   "-1 build exceeded node budget of 4", "0 returned"]
+
+
 def criterion_4_corpus():
     return [random_constraint(seed, seed % 8 + 1, 100, "uniform") for seed in range(200)]
 

@@ -737,13 +737,19 @@ def test_equiv_rejects_equality_and_mismatch(tmp_path, capsys):
     assert main(["equiv", str(eq), str(other)]) == 3
     renamed = tmp_path / "r.opb"
     renamed.write_text("+1 x1 +1 x9 <= 1 ;\n")
-    assert main(["equiv", str(other), str(renamed)]) == 3
+    capsys.readouterr()
+    assert main(["equiv", str(other), str(renamed)]) == 0
+    assert capsys.readouterr() == ("different\n", "")
 
 
 @pytest.mark.parametrize("first, second, verdict", [
     ("+3 ~x3 > 3 ;", "-2 x3 < 0 ;", "different"),
     ("+1 x1 +1 x2 <= 5 ;", "-1 x1 +1 x2 <= 5 ;", "equivalent"),  # both always true
     ("+1 x1 +3 x2 <= 2 ;", "+1 ~x1 +3 x2 <= 2 ;", "equivalent"),  # x1 is irrelevant
+    # variables are matched by name, whatever their order or number
+    ("+1 x1 +2 x2 <= 2 ;", "+2 x2 +1 x1 <= 2 ;", "equivalent"),
+    ("+1 x1 +2 x2 <= 5 ;", "+2 x2 <= 5 ;", "equivalent"),  # both always true
+    ("+1 x1 +1 x2 <= 1 ;", "+1 x1 +1 x9 <= 1 ;", "different"),
 ])
 def test_equiv_with_differing_signs(tmp_path, capsys, first, second, verdict):
     a, b = tmp_path / "a.opb", tmp_path / "b.opb"

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from itertools import product
@@ -18,6 +19,7 @@ from pbdd import (
     encode_monotone,
     encode_small,
     evaluate,
+    hosaka_family,
     random_constraint,
     reachable_nodes,
     run_pipeline,
@@ -110,6 +112,31 @@ def test_decompose_bit_sums_recover_coefficients():
             back[lit] = back.get(lit, 0) + t.coef
         assert back == {t.lit: t.coef for t in c.terms}
         assert d.decomposed.bound == c.bound
+
+
+def test_dropping_a_term_drops_its_bits_from_the_decomposition():
+    # bdd3 cuts literal i's build from the row's one decomposition: that of
+    # the row without term i is the row's without position i's bits,
+    # renumbered, with the positions above i lowered by one
+    rng = random.Random(26)
+    rows = [hosaka_family(2)]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        repeated = rng.randint(1, 10**6)
+        coefs = [rng.choice((repeated, 1 << rng.randint(0, 19), rng.randint(1, 10**6)))
+                 for _ in range(n)]
+        lits = [rng.choice((1, -1)) * v for v in rng.sample(range(1, 30), n)]
+        rows.append(PBConstraint.from_pairs(zip(coefs, lits), rng.randint(0, sum(coefs))))
+    for c in rows:
+        d = decompose(c)
+        for pos, t in enumerate(c.terms, 1):
+            keep = [j for j, (_, p) in enumerate(d.bit_tags) if p != pos]
+            di = decompose(PBConstraint(c.terms[:pos - 1] + c.terms[pos:], c.bound - t.coef))
+            assert di.decomposed.terms == tuple(
+                (d.decomposed.terms[j].coef, v) for v, j in enumerate(keep, 1)), (c, pos)
+            assert di.bit_literals == tuple(d.bit_literals[j] for j in keep), (c, pos)
+            assert di.bit_tags == tuple((w, p - (p > pos))
+                                        for w, p in (d.bit_tags[j] for j in keep)), (c, pos)
 
 
 def test_bdd3_assumes_each_literal_true():

@@ -26,6 +26,7 @@ from pbdd import (
     run_pipeline,
     verify_intervals,
 )
+from pbdd.builder import NodeBudgetExceeded
 from pbdd.cli import main
 
 from oracles import (
@@ -149,7 +150,7 @@ def test_shared_store_checks_survive_optimize_flag():
 ROW = [(3, 1), (5, 2), (7, 3), (11, 4), (13, 5)]
 
 
-def test_bdd3_node_budget_counts_per_constraint(tmp_path, monkeypatch, forks):
+def test_bdd3_node_budget_counts_per_constraint(tmp_path, monkeypatch, capsys, forks):
     c = PBConstraint.from_pairs(ROW, 20)
     _, builds = run_pipeline("bdd3", c)
     total = sum(r.stats.created for r in builds)
@@ -168,6 +169,9 @@ def test_bdd3_node_budget_counts_per_constraint(tmp_path, monkeypatch, forks):
             argv = ["encode", "--method", "bdd3", "--in", str(path), "--jobs", jobs,
                     "--out", str(tmp_path / f"{jobs}-{limit}.cnf"), "--node-budget", str(limit)]
             assert main(argv) == code, (jobs, limit)
+            # the line every pipeline prints: the budget caps each build's store
+            want = f"budget exceeded: build exceeded node budget of {limit}\n" if code else ""
+            assert capsys.readouterr().err == want, (jobs, limit)
     assert len(forks) == 3
     assert (tmp_path / f"1-{total}.cnf").read_text() == (tmp_path / f"2-{total}.cnf").read_text()
     # the single-build pipelines keep their per-build budget
@@ -177,6 +181,35 @@ def test_bdd3_node_budget_counts_per_constraint(tmp_path, monkeypatch, forks):
         assert main(["encode", "--method", method, "--in", str(path), "--jobs", "2",
                      "--out", str(tmp_path / "x.cnf"),
                      "--node-budget", str(r.stats.created - 1)]) == 4
+
+
+def test_node_budget_caps_the_store():
+    # a build into a store that holds k nodes raises exactly when those and
+    # the ones it creates pass the budget; bdd3 fills its store that way
+    for c in (PBConstraint.from_pairs(ROW, 20), hosaka_family(1)):
+        cut = [r.constraint for r in run_pipeline("bdd3", c)[1]]
+        depth = len(decompose(c).decomposed.terms)
+
+        def store_after(j):
+            store = NodeStore(depth=depth)
+            for earlier in cut[:j]:
+                build(earlier, store=store)
+            return store
+
+        for j, ci in enumerate(cut):
+            k = len(store_after(j))
+            created = build(ci, store=store_after(j)).stats.created
+            assert created > 0, (str(c), j)
+            for budget in range(k + created + 2):
+                store = store_after(j)
+                try:
+                    r = build(ci, store=store, node_budget=budget)
+                except NodeBudgetExceeded:
+                    assert k + created > budget, (str(c), j, budget)
+                    assert len(store) == max(k, budget) + 1, (str(c), j, budget)
+                else:
+                    assert k + created <= budget, (str(c), j, budget)
+                    assert r.stats.created == created and len(store) == k + created
 
 
 def test_fresh_single_builds_keep_their_store_contents():

@@ -120,19 +120,29 @@ def test_check_equivalent_examples():
 
 
 def test_check_equivalent_matches_truth_tables():
+    # random signs, variable orders and subsets of x1..x5 per side; half
+    # the second rows are the first's terms reordered, with its bound
     rng = random.Random(3)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        coefs = [rng.randint(1, 9) for _ in range(n)]
-        c1, c2 = (PBConstraint.from_pairs([(a, rng.choice((1, -1)) * v)
-                                           for v, a in enumerate(coefs, 1)], rng.randint(0, 20))
-                  for _ in range(2))
+
+    def row():
+        vs = rng.sample(range(1, 6), rng.randint(0, 5))
+        coefs = [rng.randint(1, 9) for _ in vs]
+        return PBConstraint.from_pairs([(a, rng.choice((1, -1)) * v) for a, v in zip(coefs, vs)],
+                                       rng.randint(-1, sum(coefs) + 1))
+
+    for _ in range(600):
+        c1 = row()
+        c2 = row() if rng.random() < 0.5 else PBConstraint(
+            tuple(rng.sample(c1.terms, len(c1.terms))), c1.bound)
         assert check_equivalent(c1, c2) == truth_table_equal(c1, c2), (str(c1), str(c2))
 
 
 def test_check_equivalent_rejects_mismatched_literals():
-    with pytest.raises(ValueError):
-        check_equivalent(RUN, PBConstraint.from_pairs([(2, 1), (3, 2)], 6))
+    # another variable sequence: the verdict is the truth tables'
+    fewer = PBConstraint.from_pairs([(2, 1), (3, 2)], 6)
+    assert check_equivalent(RUN, fewer) is truth_table_equal(RUN, fewer) is False
+    reordered = PBConstraint.from_pairs([(5, 3), (2, 1), (3, 2)], 6)
+    assert check_equivalent(RUN, reordered) is truth_table_equal(RUN, reordered) is True
     # only a sign differs: the verdict is the truth tables'
     flipped = PBConstraint.from_pairs([(2, 1), (3, -2), (5, 3)], 6)
     assert check_equivalent(RUN, flipped) is truth_table_equal(RUN, flipped) is False
