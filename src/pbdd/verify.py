@@ -31,11 +31,15 @@ bound of at least 0 and no conflict among the unit clauses alone:
     literal unassigned in A is unassigned in T, and UP(T) is a subset of
     UP(A), which does not conflict.
 
-One `UnitPropagator` serves two incremental walks, backtracking between
-them.  The first goes over the true/false prefixes of weight <= bound and
-checks (a).  The second goes over the sets T, each term unassigned or its
-literal true, and prunes at the first inextensible step.  It checks (b)
-there and, where GAC is asked, (c) at every extendable node.  If the
+One `UnitPropagator` serves one incremental walk over the sets T, each
+term unassigned or its literal true, which prunes at the first
+inextensible step and checks (b) there.  The total assignments of weight
+<= bound are exactly the sets T within the bound, each completed with
+every other term literal false.  So at every extendable node the walk
+first assumes the negation of each term literal outside T that UP(T) has
+not made false, requires no conflict, which is (a), and backtracks; then,
+where GAC is asked, it checks (c).  Each true-literal cascade is
+propagated once, and the completion adds only false literals.  If the
 unit clauses alone conflict, every assignment conflicts, so the
 certificate passes exactly when nothing is extendable, that is when the
 bound is below 0.  Without that conflict a bound below 0 leaves GAC
@@ -130,8 +134,11 @@ def check_encoding(
 def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool, gac: bool) -> bool:
     """True when (a), (b) and, if `gac`, (c) of the module docstring hold.
 
-    `engine` holds the propagation of the unit clauses alone, which
-    `conflict` says refutes them; it is left as it was.
+    One walk over the sets of true term literals within the bound checks
+    (a) on each set's completion with false literals, then (c), and (b)
+    at each inextensible step.  `engine` holds the propagation of the
+    unit clauses alone, which `conflict` says refutes them; it is left as
+    it was.
     """
     bound, terms = c.bound, c.terms
     if conflict or bound < 0:
@@ -142,24 +149,16 @@ def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool, gac: boo
     max_coef = max(c.coefficients(), default=0)
     chosen = [False] * n
 
-    def totals(j: int, weight: int) -> bool:
-        # (a): every extension of the path by the terms from j on, each
-        # literal false or true, of weight <= bound propagates without conflict
-        if j == n:
-            return True
-        coef, lit = terms[j]
-        for step, w in ((-lit, weight), (lit, weight + coef)):
-            if w <= bound:
-                mark = len(trail)
-                ok = assume(step) and totals(j + 1, w)
-                backtrack(mark)
-                if not ok:
-                    return False
-        return True
-
     def sets(start: int, weight: int) -> bool:
-        # (c) at T, the true literals on the path, of weight <= bound; then
-        # T's extensions by terms from `start` on: (b) at an inextensible one
+        # at T, the true literals on the path, of weight <= bound: (a) on T
+        # completed with every other term literal false, then (c); then T's
+        # extensions by terms from `start` on: (b) at an inextensible one
+        mark = len(trail)
+        ok = all(assume(-lit) for j, (_, lit) in enumerate(terms)
+                 if not chosen[j] and values[abs(lit)] != (2 if lit > 0 else 1))
+        backtrack(mark)
+        if not ok:
+            return False
         if gac and weight + max_coef > bound:
             for j, (coef, lit) in enumerate(terms):
                 if (not chosen[j] and weight + coef > bound
@@ -180,7 +179,7 @@ def _certified(c: PBConstraint, engine: UnitPropagator, conflict: bool, gac: boo
                 return False
         return True
 
-    return totals(0, 0) and sets(0, 0)
+    return sets(0, 0)
 
 
 def _walk(c: PBConstraint, engine: UnitPropagator, conflict: bool,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -316,33 +317,38 @@ def test_walk_settles_only_the_verdicts_asked_for():
 
 
 def _count_assumes(monkeypatch):
-    calls = [0]
+    """[assumed literals, literals they put on the trail], counted from now on."""
+    calls = [0, 0]
     assume = UnitPropagator.assume
 
     def counted(self, lit):
+        before = len(self.trail)
+        ok = assume(self, lit)
         calls[0] += 1
-        return assume(self, lit)
+        calls[1] += len(self.trail) - before
+        return ok
 
     monkeypatch.setattr(UnitPropagator, "assume", counted)
     return calls
 
 
 def test_one_walk_serves_both_verdicts(monkeypatch, capsys):
-    # `pbdd verify --method bdd3 --max-n 8 --seeds 8`: the certificate
-    # clears every encoding of both properties from 999 assumed literals,
-    # where the walk over all 3^n partial assignments took 8,228; asked one
-    # at a time, consistency takes 999, and so does GAC, which the same
-    # certificate settles
+    # `pbdd verify --method bdd3 --max-n 8 --seeds 8`: the certificate, one
+    # walk over the sets of true literals, each also completed with false
+    # literals, clears every encoding of both properties from 1,233 assumed
+    # literals, which put 23,829 literals on the trail; the walk over all
+    # 3^n partial assignments took 8,228 assumes.  Asked one at a time,
+    # consistency and GAC each take the same certificate walk.
     calls = _count_assumes(monkeypatch)
     assert main(["verify", "--method", "bdd3", "--max-n", "8", "--seeds", "8"]) == 0
     assert capsys.readouterr().out.endswith(": 0 violation(s)\n")
-    assert calls[0] == 999
-    calls[0] = 0
+    assert calls == [1233, 23829]
+    calls[:] = [0, 0]
     for seed in range(8):
         c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
         out = run_pipeline("bdd3", c)[0]
         assert check_consistency(c, out) is None and check_gac(c, out) is None
-    assert calls[0] == 1998
+    assert calls == [2 * 1233, 2 * 23829]
 
 
 # Differential tests of the certificate against the walk it saves.  With
@@ -374,6 +380,41 @@ def test_certificate_passes_exactly_when_the_walk_finds_nothing(method):
         clauses = run_pipeline(method, c)[0].clauses
         for cnf in [clauses, *(_drop_one(clauses, rng, 3) if len(c.terms) <= 6 else [])]:
             seen |= _certificate_matches_walk(c, cnf)
+    assert seen == {True, False}
+
+
+def test_certificate_checks_each_total_assignment():
+    # x1 + x2 <= 1 and the clause (x1 | x2): each set of true literals
+    # propagates as the encoding should, but the total assignment of weight
+    # 0, both literals false, conflicts; only check (a) sees it
+    c = PBConstraint.from_pairs([(1, 1), (1, 2)], 1)
+    for method in ("bdd1", "bdd3"):
+        clauses = run_pipeline(method, c)[0].clauses + [(1, 2)]
+        engine = UnitPropagator(clauses, num_vars=2)
+        assert not verify._certified(c, engine, engine.reset() is not None, True)
+        cons, gac = check_encoding(c, clauses)
+        assert str(cons) == "A={~x1, ~x2}: spurious conflict on extendable assignment"
+        assert gac is None
+
+
+@pytest.mark.parametrize("method", ["bdd1", "bdd2", "bdd3", "ite6"])
+def test_certificate_matches_the_walk_on_added_clauses(method):
+    # An added clause of term literals is false on the total assignment
+    # with every literal false, of weight 0: a violation that only check
+    # (a) sees.  An added clause (-l_i, -l_j) with a_i + a_j over the bound
+    # is implied by the constraint and adds no violation.
+    rng = random.Random(11)
+    seen = set()
+    for seed in range(24):
+        c = random_constraint(seed, seed % 8 + 1, 100, "uniform")
+        clauses = run_pipeline(method, c)[0].clauses
+        lits = c.literals()
+        implied = [(-l, -m) for (a, l), (b, m) in itertools.combinations(c.terms, 2)
+                   if a + b > c.bound]
+        added = [tuple(rng.sample(lits, rng.randint(1, len(lits)))) for _ in range(4)]
+        added += rng.sample(implied, min(4, len(implied)))
+        for clause in added:
+            seen |= _certificate_matches_walk(c, clauses + [clause])
     assert seen == {True, False}
 
 
